@@ -258,10 +258,28 @@ def check_storm(path, doc):
     return n
 
 
+SIM_RUN_KEYS = ("wall_ms", "peak_rss_mib", "events", "events_per_s")
+
+
+def check_sim(path, doc):
+    # BENCH_sim.json: one host-cost row per bench that ran in the directory.
+    runs = doc.get("runs")
+    if not isinstance(runs, dict) or not runs:
+        fail(f"{path}: 'runs' must be a non-empty object")
+    for name, run in runs.items():
+        for k in SIM_RUN_KEYS:
+            if k not in run:
+                fail(f"{path}: runs.{name} missing key '{k}'")
+        if run["wall_ms"] <= 0 or run["peak_rss_mib"] <= 0:
+            fail(f"{path}: runs.{name} recorded no host cost")
+    return len(runs)
+
+
 CHECKERS = {
     "load_harness": check_load,
     "fault_sweep": check_fault,
     "meta_storm": check_storm,
+    "sim": check_sim,
 }
 
 

@@ -3,16 +3,86 @@
 // rows/series of one table or figure from the paper's evaluation section.
 #pragma once
 
+#include <errno.h>
+
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "mpiio/mpio_file.h"
 #include "pvfs/cluster.h"
+#include "sim/engine.h"
 #include "workloads/block_column.h"
 #include "workloads/tile_io.h"
 
 namespace pvfsib::bench {
+
+// --- host cost ------------------------------------------------------------
+
+// What running this bench cost the host: wall time, peak RSS and simulated
+// events, written at exit into BENCH_sim.json as one row under the bench's
+// name. Rows of other benches already in the file are kept, so running
+// every bench in one directory builds the whole table. It goes to a file,
+// not stdout, so figure output stays byte-identical across runs.
+class HostCostRecord {
+ public:
+  HostCostRecord() = default;
+  HostCostRecord(const HostCostRecord&) = delete;
+  HostCostRecord& operator=(const HostCostRecord&) = delete;
+
+  ~HostCostRecord() {
+    const double wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start_)
+                              .count();
+    const u64 events = sim::Engine::thread_events_processed();
+    const std::string name = program_invocation_short_name;
+    char row[512];
+    std::snprintf(row, sizeof(row),
+                  "\"%s\": {\"wall_ms\": %.1f, \"peak_rss_mib\": %.1f, "
+                  "\"events\": %llu, \"events_per_s\": %.0f}",
+                  name.c_str(), wall_s * 1e3, peak_rss_mib(),
+                  static_cast<unsigned long long>(events),
+                  wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0);
+    std::map<std::string, std::string> rows;
+    std::ifstream in(kPath);
+    for (std::string line; std::getline(in, line);) {
+      if (line.size() < 2 || line[0] != '"') continue;  // header, footer
+      if (line.back() == ',') line.pop_back();
+      rows[line.substr(1, line.find('"', 1) - 1)] = line;
+    }
+    in.close();
+    rows[name] = row;
+    std::ofstream out(kPath);
+    out << "{\"bench\": \"sim\", \"runs\": {\n";
+    size_t i = 0;
+    for (const auto& [n, r] : rows) {
+      out << r << (++i < rows.size() ? ",\n" : "\n");
+    }
+    out << "}}\n";
+  }
+
+ private:
+  static constexpr const char* kPath = "BENCH_sim.json";
+
+  static double peak_rss_mib() {
+    std::ifstream in("/proc/self/status");
+    for (std::string line; std::getline(in, line);) {
+      if (line.rfind("VmHWM:", 0) == 0) {
+        return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+      }
+    }
+    return 0.0;
+  }
+
+  std::chrono::steady_clock::time_point start_ =
+      std::chrono::steady_clock::now();
+};
+
+inline HostCostRecord host_cost_record;
 
 // --- formatting -------------------------------------------------------
 

@@ -375,7 +375,7 @@ struct ReplicationParams {
 
   // --- Integrity plane (block checksums, verify-on-read, scrubber) --------
   // Checksum granularity inside a stripe's local file: the iod stamps one
-  // FNV-1a sum per `integrity_block_bytes`-sized block into the stripe
+  // 64-bit sum per `integrity_block_bytes`-sized block into the stripe
   // header (format v2; v1 headers were version-only) on every applied
   // write/repair/resync, and the read path recomputes sums over the blocks
   // a round touches. Stamping and verification are host-side work modeled

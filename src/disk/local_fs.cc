@@ -77,7 +77,7 @@ Timed<u64> LocalFile::pwrite(u64 off, std::span<const std::byte> src,
 
   const u64 n = src.size();
   if (n > 0) {
-    if (content_.size() < off + n) content_.resize(off + n);
+    content_.grow_to(off + n);
     std::memcpy(content_.data() + off, src.data(), n);
     mark_written(off, n);
 
@@ -148,7 +148,6 @@ ExtentList LocalFile::written_within(u64 off, u64 len) const {
 
 Duration LocalFile::purge() {
   content_.clear();
-  content_.shrink_to_fit();
   written_.clear();
   fs_->cache_.drop(id_);  // dirty pages of a deleted file are discarded
   logical_pos_ = 0;

@@ -17,6 +17,7 @@
 #include "common/sim_time.h"
 #include "common/stats.h"
 #include "common/status.h"
+#include "common/zero_pages.h"
 #include "disk/disk.h"
 #include "disk/page_cache.h"
 
@@ -60,13 +61,17 @@ class LocalFile {
   const std::string& path() const { return path_; }
 
   // Direct access to contents for test verification (no cost, no stats).
-  std::span<const std::byte> contents() const { return content_; }
+  std::span<const std::byte> contents() const {
+    return {content_.data(), content_.size()};
+  }
 
   // Mutable view for the fault plane only: silent-corruption injection
   // (bit flips, torn-write garbling) mutates stored bytes behind the
   // checksum machinery's back. No cost, no stats, no cache interaction —
   // exactly what "silent" means. Never used by the regular I/O path.
-  std::span<std::byte> mutable_contents() { return content_; }
+  std::span<std::byte> mutable_contents() {
+    return {content_.data(), content_.size()};
+  }
 
   // Release the file's blocks and cached pages (unlink's data side).
   // Returns the (small) cost of the metadata update.
@@ -91,7 +96,8 @@ class LocalFile {
   u64 disk_base_;  // position of byte 0 on the platter
   u64 logical_pos_ = 0;
   bool locked_ = false;
-  std::vector<std::byte> content_;
+  // Zero-on-touch, so a file's holes cost no host memory.
+  ZeroPages content_;
   // Allocated block ranges: reading a hole inside a sparse file returns
   // zeros straight from the block map, without any media access.
   std::map<u64, u64> written_;

@@ -21,44 +21,49 @@ ExtentList PageCache::cached_ranges(u32 file, const Extent& window) const {
 std::vector<PageKey> PageCache::insert(u32 file, u64 first_page, u64 n,
                                        bool dirty) {
   std::vector<PageKey> evicted_dirty;
+  std::set<u64>* file_dirty = dirty ? &dirty_[file] : nullptr;
   for (u64 p = first_page; p < first_page + n; ++p) {
     const PageKey key{file, p};
     auto it = entries_.find(key);
     if (it != entries_.end()) {
-      it->second.dirty = it->second.dirty || dirty;
       touch(it);
-      continue;
+    } else {
+      while (entries_.size() >= capacity_pages_ && !lru_.empty()) {
+        const PageKey victim = lru_.back();
+        const auto d = dirty_.find(victim.file);
+        if (d != dirty_.end() && d->second.erase(victim.page) != 0) {
+          evicted_dirty.push_back(victim);
+        }
+        entries_.erase(victim);
+        lru_.pop_back();
+      }
+      lru_.push_front(key);
+      entries_[key] = Entry{lru_.begin()};
     }
-    while (entries_.size() >= capacity_pages_ && !lru_.empty()) {
-      const PageKey victim = lru_.back();
-      auto vit = entries_.find(victim);
-      if (vit->second.dirty) evicted_dirty.push_back(victim);
-      entries_.erase(vit);
-      lru_.pop_back();
-    }
-    lru_.push_front(key);
-    entries_[key] = Entry{dirty, lru_.begin()};
+    if (file_dirty != nullptr) file_dirty->insert(p);
   }
   return evicted_dirty;
 }
 
 ExtentList PageCache::flush_dirty(u32 file) {
   ExtentList dirty;
-  auto it = entries_.lower_bound(PageKey{file, 0});
-  for (; it != entries_.end() && it->first.file == file; ++it) {
-    if (it->second.dirty) {
-      dirty.push_back({it->first.page * kPageSize, kPageSize});
-      it->second.dirty = false;
-    }
+  const auto it = dirty_.find(file);
+  if (it == dirty_.end()) return dirty;
+  for (const u64 page : it->second) {
+    dirty.push_back({page * kPageSize, kPageSize});
   }
+  dirty_.erase(it);
   return coalesce(dirty);
 }
 
 std::vector<PageKey> PageCache::drop(u32 file) {
   std::vector<PageKey> dirty;
+  if (const auto d = dirty_.find(file); d != dirty_.end()) {
+    for (const u64 page : d->second) dirty.push_back({file, page});
+    dirty_.erase(d);
+  }
   auto it = entries_.lower_bound(PageKey{file, 0});
   while (it != entries_.end() && it->first.file == file) {
-    if (it->second.dirty) dirty.push_back(it->first);
     lru_.erase(it->second.lru_it);
     it = entries_.erase(it);
   }
@@ -67,9 +72,10 @@ std::vector<PageKey> PageCache::drop(u32 file) {
 
 std::vector<PageKey> PageCache::drop_all() {
   std::vector<PageKey> dirty;
-  for (const auto& [key, entry] : entries_) {
-    if (entry.dirty) dirty.push_back(key);
+  for (const auto& [file, pages] : dirty_) {
+    for (const u64 page : pages) dirty.push_back({file, page});
   }
+  dirty_.clear();
   entries_.clear();
   lru_.clear();
   return dirty;

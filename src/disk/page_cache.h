@@ -48,7 +48,6 @@ class PageCache {
 
  private:
   struct Entry {
-    bool dirty = false;
     std::list<PageKey>::iterator lru_it;
   };
 
@@ -58,6 +57,9 @@ class PageCache {
   u64 capacity_pages_ = 0;
   std::map<PageKey, Entry> entries_;
   std::list<PageKey> lru_;  // front = most recent
+  // The dirty-page index: file -> its cached dirty pages, ascending. An
+  // fsync visits only these instead of every cached page of the file.
+  std::map<u32, std::set<u64>> dirty_;
 };
 
 }  // namespace pvfsib::disk

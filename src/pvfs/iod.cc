@@ -1,6 +1,7 @@
 #include "pvfs/iod.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -621,12 +622,50 @@ Iod::ReadService Iod::read_round(const RoundRequest& r, TimePoint start,
 // --- Data integrity ---------------------------------------------------------
 
 u64 Iod::block_checksum(std::span<const std::byte> s) {
-  u64 h = 1469598103934665603ull;  // FNV-1a 64-bit
-  for (const std::byte b : s) {
-    h ^= static_cast<u8>(b);
-    h *= 1099511628211ull;
+  // Four interleaved multiply-xor lanes over 64-bit words: the chain runs
+  // at word speed instead of FNV-1a's one byte per multiply. A lane step is
+  // a bijection of the lane for a fixed word and of the word for a fixed
+  // lane, so a change confined to one word always changes the sum; the
+  // length seeds lane 0 and a final avalanche spreads every input bit.
+  constexpr u64 kMul = 0x9e3779b97f4a7c15ull;
+  auto step = [](u64 lane, u64 w) { return std::rotl((lane ^ w) * kMul, 31); };
+  auto word = [&](size_t at) {
+    u64 w;
+    std::memcpy(&w, s.data() + at, 8);
+    return w;
+  };
+  u64 lane[4] = {s.size(), 0x243f6a8885a308d3ull, 0x13198a2e03707344ull,
+                 0xa4093822299f31d0ull};
+  size_t i = 0;
+  for (; i + 32 <= s.size(); i += 32) {
+    for (int k = 0; k < 4; ++k) lane[k] = step(lane[k], word(i + 8 * k));
   }
-  return h;
+  for (; i + 8 <= s.size(); i += 8) lane[0] = step(lane[0], word(i));
+  if (i < s.size()) {
+    u64 tail = 0;  // the last partial word, zero-padded
+    std::memcpy(&tail, s.data() + i, s.size() - i);
+    lane[0] = step(lane[0], tail);
+  }
+  u64 h = lane[0];
+  for (int k = 1; k < 4; ++k) h = step(h, lane[k]);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  return h ^ (h >> 33);
+}
+
+ExtentList Iod::touched_blocks(const ExtentList& ranges, u64 size) const {
+  const u64 B = std::max<u64>(1, cfg_.replication.integrity_block_bytes);
+  ExtentList out;
+  for (const Extent& r : ranges) {
+    if (r.length == 0 || r.offset >= size) continue;
+    const u64 first = r.offset / B;
+    const u64 last = (std::min(r.end(), size) - 1) / B;
+    out.push_back({first, last - first + 1});
+  }
+  sort_by_offset(out);
+  return coalesce(out);
 }
 
 void Iod::stamp_round(Handle h, const ExtentList& accesses, u64 pre_size) {
@@ -634,23 +673,19 @@ void Iod::stamp_round(Handle h, const ExtentList& accesses, u64 pre_size) {
   const u64 B = std::max<u64>(1, cfg_.replication.integrity_block_bytes);
   const u64 size = f.size();
   if (size == 0) return;
+  ExtentList ranges = accesses;
+  // Growth restamps the zero-filled gap and the old tail block, whose
+  // extent (and therefore checksum) changed when the file grew.
+  if (size > pre_size) ranges.push_back({pre_size, size - pre_size});
   std::map<u64, u64>& sums = block_sums_[h];
   const std::span<const std::byte> bytes = f.contents();
-  auto stamp = [&](u64 off, u64 len) {
-    if (len == 0 || off >= size) return;
-    len = std::min(len, size - off);
-    const u64 first = off / B;
-    const u64 last = (off + len - 1) / B;
-    for (u64 b = first; b <= last; ++b) {
+  for (const Extent& run : touched_blocks(ranges, size)) {
+    for (u64 b = run.offset; b < run.end(); ++b) {
       const u64 lo = b * B;
       const u64 hi = std::min(lo + B, size);
       sums[b] = block_checksum(bytes.subspan(lo, hi - lo));
     }
-  };
-  for (const Extent& a : accesses) stamp(a.offset, a.length);
-  // Growth restamps the zero-filled gap and the old tail block, whose
-  // extent (and therefore checksum) changed when the file grew.
-  if (size > pre_size) stamp(pre_size, size - pre_size);
+  }
 }
 
 bool Iod::verify_ranges(Handle h, const ExtentList& accesses) {
@@ -662,15 +697,12 @@ bool Iod::verify_ranges(Handle h, const ExtentList& accesses) {
   const u64 B = std::max<u64>(1, cfg_.replication.integrity_block_bytes);
   const u64 size = f.size();
   const std::span<const std::byte> bytes = f.contents();
-  for (const Extent& a : accesses) {
-    if (a.length == 0 || a.offset >= size) continue;
-    const u64 len = std::min(a.length, size - a.offset);
-    const u64 first = a.offset / B;
-    const u64 last = (a.offset + len - 1) / B;
-    for (u64 b = first; b <= last; ++b) {
-      const auto s = bit->second.find(b);
-      if (s == bit->second.end()) continue;  // pre-v2 block: trusted
-      const u64 lo = b * B;
+  const std::map<u64, u64>& sums = bit->second;
+  for (const Extent& run : touched_blocks(accesses, size)) {
+    // Only stamped blocks are checked; a pre-v2 block is trusted.
+    for (auto s = sums.lower_bound(run.offset);
+         s != sums.end() && s->first < run.end(); ++s) {
+      const u64 lo = s->first * B;
       const u64 hi = std::min(lo + B, size);
       if (block_checksum(bytes.subspan(lo, hi - lo)) != s->second) {
         return false;

@@ -145,7 +145,7 @@ class Iod {
   Timed<u64> serve_resync(const ResyncRequest& rq, std::span<std::byte> dst);
 
   // --- Data integrity (stripe block checksums) --------------------------
-  // Every applied write (rounds, repairs, resync pulls) stamps an FNV-1a 64
+  // Every applied write (rounds, repairs, resync pulls) stamps a 64-bit
   // checksum per fixed-size block (ReplicationParams::integrity_block_bytes)
   // of the touched byte ranges into the local stripe header (format v2; the
   // version map above is format v1 and untouched, so takeover header scans
@@ -226,15 +226,21 @@ class Iod {
   void resync_step(std::shared_ptr<ResyncState> st);
 
   // --- Integrity internals ----------------------------------------------
-  // FNV-1a 64 over a block's stored bytes.
+  // 64-bit checksum of a block's stored bytes, hashed a word at a time.
   static u64 block_checksum(std::span<const std::byte> s);
+  // The checksum blocks overlapping `ranges` of a file of `size` bytes, as
+  // sorted, merged block-index runs: each block once, however many ranges
+  // of a round touch it.
+  ExtentList touched_blocks(const ExtentList& ranges, u64 size) const;
   // Restamp every checksum block overlapping `accesses` — plus, when the
   // apply grew the file past `pre_size`, the zero-filled growth (whose
-  // blocks changed extent) — from the file's current contents.
+  // blocks changed extent) — from the file's current contents. Each block
+  // is hashed once per call.
   void stamp_round(Handle h, const ExtentList& accesses, u64 pre_size);
-  // Recompute the stamped checksums of every block overlapping `accesses`;
-  // false on any mismatch. Blocks without a stamp (format-v1 headers from
-  // before the apply) are trusted, so old content stays readable.
+  // Recompute the stamped checksums of every block overlapping `accesses`,
+  // each block once; false on any mismatch. Blocks without a stamp
+  // (format-v1 headers from before the apply) are trusted, so old content
+  // stays readable.
   bool verify_ranges(Handle h, const ExtentList& accesses);
   // Corruption appliers (write_round, after stamping the intended bytes):
   // garble a suffix of the round's stored byte ranges / flip one stored bit
@@ -270,9 +276,9 @@ class Iod {
   // populated by versioned (replicated) writes; empty at factor 1.
   std::map<Handle, u64> stripe_version_;
   // Per-block checksums per local file (header format v2): block index ->
-  // FNV-1a 64 of the block's stored bytes. Kept as if durable, beside the
-  // version headers. Every applied write stamps; reads and the scrubber
-  // verify.
+  // block_checksum() of the block's stored bytes. Kept as if durable,
+  // beside the version headers. Every applied write stamps; reads and the
+  // scrubber verify.
   std::map<Handle, std::map<u64, u64>> block_sums_;
   // Highest manager epoch this iod has been told about, per metadata shard
   // (empty/0 until a takeover sweep; the fence in write_round only engages

@@ -67,6 +67,9 @@ class Engine {
 
   bool idle() const { return heap_.empty(); }
   u64 events_processed() const { return processed_; }
+  // Events run by every engine on the calling thread: the host-cost
+  // denominator of a program that builds many clusters one after another.
+  static u64 thread_events_processed() { return thread_processed_; }
 
   // Forget all pending events and reset the clock (for back-to-back
   // benchmark trials that want a fresh timeline).
@@ -104,6 +107,7 @@ class Engine {
     }
     now_ = ev.at;
     ++processed_;
+    ++thread_processed_;
     ev.fn();
   }
 
@@ -112,6 +116,7 @@ class Engine {
   TimePoint now_ = TimePoint::origin();
   u64 next_seq_ = 0;
   u64 processed_ = 0;
+  static inline thread_local u64 thread_processed_ = 0;
 };
 
 }  // namespace pvfsib::sim

@@ -1,7 +1,6 @@
 #include "vmem/address_space.h"
 
 #include <cassert>
-#include <cstring>
 
 namespace pvfsib::vmem {
 
@@ -51,6 +50,7 @@ Status AddressSpace::free_at(u64 vaddr) {
   }
   const u64 len = it->second;
   allocations_.erase(it);
+  backing_.zero(vaddr - kBaseVaddr, len);
 
   // Carve [vaddr, vaddr+len) out of the mapped extents.
   auto m = mapped_.upper_bound(vaddr);
@@ -134,11 +134,7 @@ std::span<const std::byte> AddressSpace::readable_span(u64 addr,
 }
 
 void AddressSpace::ensure_backing(u64 end_addr) {
-  const u64 need = end_addr - kBaseVaddr;
-  if (backing_.size() < need) {
-    // Grow geometrically to keep amortized cost linear.
-    backing_.resize(std::max(need, backing_.size() + backing_.size() / 2));
-  }
+  backing_.grow_to(end_addr - kBaseVaddr);
 }
 
 void AddressSpace::insert_extent(u64 start, u64 len) {

@@ -10,17 +10,19 @@
 //
 // Allocations carry real backing bytes (one flat arena indexed by virtual
 // address) so that RDMA operations move actual data and end-to-end tests can
-// verify byte-exact results.
+// verify byte-exact results. The arena is zero-on-touch memory: a mapped
+// page costs host RAM only once something writes it, and a freed one gives
+// its RAM back.
 #pragma once
 
 #include <cstring>
 #include <map>
 #include <span>
-#include <vector>
 
 #include "common/extent.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "common/zero_pages.h"
 
 namespace pvfsib::vmem {
 
@@ -44,7 +46,8 @@ class AddressSpace {
   // mapped or the range precedes the base address.
   Status alloc_at(u64 vaddr, u64 bytes);
 
-  // Unmap a previous allocation made at exactly `vaddr`.
+  // Unmap a previous allocation made at exactly `vaddr`. Its pages read as
+  // zero afterwards.
   Status free_at(u64 vaddr);
 
   // True when every page of [addr, addr+len) is mapped.
@@ -92,7 +95,7 @@ class AddressSpace {
   // Original allocations (for free_at): start -> page-rounded length.
   std::map<u64, u64> allocations_;
   u64 cursor_ = kBaseVaddr;
-  std::vector<std::byte> backing_;  // index = vaddr - kBaseVaddr
+  ZeroPages backing_;  // index = vaddr - kBaseVaddr
 };
 
 }  // namespace pvfsib::vmem

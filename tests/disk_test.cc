@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <map>
+
+#include "common/rng.h"
 #include "disk/page_cache.h"
 
 namespace pvfsib::disk {
@@ -128,6 +132,103 @@ TEST(PageCache, DropFileDiscardsAndReportsDirty) {
   EXPECT_EQ(c.pages_cached(), 3u);
   c.drop_all();
   EXPECT_EQ(c.pages_cached(), 0u);
+}
+
+TEST(PageCache, EvictedDirtyPageIsNotFlushedAgain) {
+  DiskParams p;
+  p.cache_capacity = 2 * kPageSize;
+  PageCache c(p);
+  c.insert(0, 0, 1, true);
+  c.insert(1, 0, 2, false);  // evicts file 0's dirty page (written back)
+  EXPECT_TRUE(c.flush_dirty(0).empty());
+  c.insert(0, 0, 1, false);  // re-read clean
+  EXPECT_TRUE(c.flush_dirty(0).empty());
+}
+
+// The dirty-page index against a reference that keeps the dirty bit on every
+// cached page and scans them all: random inserts, flushes and drops over a
+// small cache must report the same dirty pages, in the same order.
+TEST(PageCacheProperty, DirtyIndexMatchesFullScan) {
+  struct Reference {
+    u64 capacity;
+    std::map<PageKey, bool> dirty;  // every cached page
+    std::list<PageKey> lru;         // front = most recent
+
+    std::vector<PageKey> insert(u32 f, u64 first, u64 n, bool d) {
+      std::vector<PageKey> evicted;
+      for (u64 pg = first; pg < first + n; ++pg) {
+        const PageKey k{f, pg};
+        if (auto it = dirty.find(k); it != dirty.end()) {
+          it->second = it->second || d;
+          lru.remove(k);
+          lru.push_front(k);
+          continue;
+        }
+        while (dirty.size() >= capacity && !lru.empty()) {
+          const PageKey v = lru.back();
+          if (dirty[v]) evicted.push_back(v);
+          dirty.erase(v);
+          lru.pop_back();
+        }
+        lru.push_front(k);
+        dirty[k] = d;
+      }
+      return evicted;
+    }
+    ExtentList flush(u32 f) {
+      ExtentList out;
+      for (auto& [k, d] : dirty) {
+        if (k.file == f && d) {
+          out.push_back({k.page * kPageSize, kPageSize});
+          d = false;
+        }
+      }
+      return coalesce(out);
+    }
+    std::vector<PageKey> drop(u32 f) {
+      std::vector<PageKey> out;
+      for (auto it = dirty.begin(); it != dirty.end();) {
+        if (it->first.file != f) {
+          ++it;
+          continue;
+        }
+        if (it->second) out.push_back(it->first);
+        lru.remove(it->first);
+        it = dirty.erase(it);
+      }
+      return out;
+    }
+  };
+
+  Rng rng(2026);
+  for (int trial = 0; trial < 20; ++trial) {
+    DiskParams p;
+    p.cache_capacity = rng.range(4, 40) * kPageSize;
+    PageCache c(p);
+    Reference ref{p.cache_capacity / kPageSize, {}, {}};
+    for (int op = 0; op < 400; ++op) {
+      const u32 f = static_cast<u32>(rng.below(3));
+      const double pick = rng.uniform01();
+      if (pick < 0.7) {
+        const u64 first = rng.below(48);
+        const u64 n = rng.range(1, 8);
+        const bool d = rng.chance(0.5);
+        ASSERT_EQ(c.insert(f, first, n, d), ref.insert(f, first, n, d));
+      } else if (pick < 0.9) {
+        ASSERT_EQ(c.flush_dirty(f), ref.flush(f));
+      } else if (pick < 0.98) {
+        ASSERT_EQ(c.drop(f), ref.drop(f));
+      } else {
+        std::vector<PageKey> all;
+        for (u32 g = 0; g < 3; ++g) {
+          const std::vector<PageKey> part = ref.drop(g);
+          all.insert(all.end(), part.begin(), part.end());
+        }
+        ASSERT_EQ(c.drop_all(), all);
+      }
+      ASSERT_EQ(c.pages_cached(), ref.dirty.size());
+    }
+  }
 }
 
 }  // namespace

@@ -280,6 +280,56 @@ TEST_F(IodTest, RemoveFilePurgesTheStripeHeader) {
   EXPECT_TRUE(iod_.stripe_headers().empty());
 }
 
+// A round of many small pieces puts several pieces in one checksum block, and
+// stamping hashes each block once for all of them. Every block the round
+// touched, including the short last one, must carry a stamp that a later
+// read checks: a one-bit change anywhere in the file is reported.
+TEST_F(IodTest, ManyPieceRoundStampsEveryBlock) {
+  ExtentList acc;
+  for (u64 i = 0; i < 40; ++i) acc.push_back({i * 1000, 300});
+  stage_pattern(40 * 300, 5);
+  iod_.write_round(round(acc, /*write=*/true, /*ads=*/false),
+                   TimePoint::origin());
+  disk::LocalFile& f = iod_.file(7);
+  const u64 size = f.size();
+  ASSERT_EQ(size, 39 * 1000 + 300u);  // three 16 KiB blocks, the last short
+  auto read_all = [&] {
+    return iod_.read_round(round({{0, size}}, false, false),
+                           TimePoint::origin(), ReadReturn::kClientPull,
+                           nullptr, 0, 0);
+  };
+  ASSERT_TRUE(read_all().ok());
+  for (u64 off : {u64{0}, u64{150}, u64{650}, u64{16 * kKiB - 1},
+                  u64{16 * kKiB}, u64{33 * kKiB}, size - 8, size - 1}) {
+    std::byte& b = f.mutable_contents()[off];
+    b ^= std::byte{0x04};
+    EXPECT_FALSE(read_all().ok()) << off;
+    b ^= std::byte{0x04};
+    EXPECT_TRUE(read_all().ok()) << off;
+  }
+}
+
+// Growing a file restamps the zero-filled gap and the old short tail block,
+// so reads over either verify, and a later change in either is reported.
+TEST_F(IodTest, GrowthRestampsGapAndOldTail) {
+  stage_pattern(100, 3);
+  iod_.write_round(round({{0, 100}}, true, false), TimePoint::origin());
+  stage_pattern(100, 4);
+  iod_.write_round(round({{40 * kKiB, 100}}, true, false), TimePoint::origin());
+  auto read = [&](Extent e) {
+    return iod_.read_round(round({e}, false, false), TimePoint::origin(),
+                           ReadReturn::kClientPull, nullptr, 0, 0);
+  };
+  EXPECT_TRUE(read({0, 200}).ok());
+  EXPECT_TRUE(read({20 * kKiB, 10}).ok());
+  disk::LocalFile& f = iod_.file(7);
+  f.mutable_contents()[20 * kKiB + 3] ^= std::byte{0x10};
+  EXPECT_FALSE(read({20 * kKiB, 10}).ok());
+  EXPECT_TRUE(read({0, 200}).ok());  // other blocks unaffected
+  f.mutable_contents()[150] ^= std::byte{0x01};
+  EXPECT_FALSE(read({0, 10}).ok());
+}
+
 TEST_F(IodTest, DiskQueueSerializesRounds) {
   stage_pattern(1 * kMiB, 3);
   RoundRequest r = round({{0, 1 * kMiB}}, true, false);
