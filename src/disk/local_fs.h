@@ -7,10 +7,12 @@
 // counted as one disk access in the Table 6 profile.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/config.h"
@@ -27,6 +29,9 @@ struct IoOpts {
   bool direct = false;  // bypass the page cache entirely (O_DIRECT)
 };
 
+// 64-bit checksum of a block's stored bytes, hashed a word at a time.
+u64 block_checksum(std::span<const std::byte> s);
+
 class LocalFs;
 
 class LocalFile {
@@ -36,6 +41,16 @@ class LocalFile {
 
   // Write src at `off`, growing (and zero-filling) the file as needed.
   Timed<u64> pwrite(u64 off, std::span<const std::byte> src, IoOpts opts = {});
+
+  // Sieved write-back in place: charges exactly what pread(window) then
+  // pwrite(window) charge (cost, lseek, Stats, page-cache inserts and
+  // evictions, allocated-block map, growth), then hands `modify` the file's
+  // own bytes of `window` (zero past the old EOF) to patch, instead of
+  // copying the window out to a buffer and back.
+  Duration read_modify_write(
+      const Extent& window,
+      const std::function<void(std::span<std::byte>)>& modify,
+      IoOpts opts = {});
 
   // Flush dirty pages to media.
   Duration fsync();
@@ -65,16 +80,29 @@ class LocalFile {
     return {content_.data(), content_.size()};
   }
 
-  // Mutable view for the fault plane only: silent-corruption injection
-  // (bit flips, torn-write garbling) mutates stored bytes behind the
-  // checksum machinery's back. No cost, no stats, no cache interaction —
-  // exactly what "silent" means. Never used by the regular I/O path.
-  std::span<std::byte> mutable_contents() {
-    return {content_.data(), content_.size()};
-  }
+  // --- Block checksums (the iod's integrity table) ------------------------
+  // One 64-bit sum per checksum block (LocalFs::checksum_block() bytes; the
+  // last block ends at EOF), kept beside the bytes so purge() drops both.
+  // Stamps are lazy: a stamped block's sum is "the hash of its current
+  // bytes", so stamping and verifying fault-free data hash nothing. The
+  // caller stamps every write it applies; corrupt() is the only way bytes
+  // change behind a stamp, so it hashes the stamped blocks it touches
+  // first, and verify() re-hashes only those.
 
-  // Release the file's blocks and cached pages (unlink's data side).
-  // Returns the (small) cost of the metadata update.
+  // Stamp every block overlapping `ranges` (clipped at EOF).
+  void stamp(const ExtentList& ranges);
+  // Does every stamped block overlapping `ranges` still hash to its sum?
+  // Unstamped blocks are trusted. A block that verifies clean is pending
+  // again, so the next verify skips it.
+  bool verify(const ExtentList& ranges);
+  // Silent corruption for the fault plane: XOR `mask` into every stored
+  // byte of `range` (clipped at EOF), behind the stamps. No cost, no stats,
+  // no cache interaction — exactly what "silent" means.
+  void corrupt(const Extent& range, std::byte mask);
+
+  // Release the file's blocks, checksums and cached pages, and its name
+  // (unlink's data side): the path can be created afresh. Returns the
+  // (small) cost of the metadata update.
   Duration purge();
 
  private:
@@ -85,10 +113,21 @@ class LocalFile {
   Duration seek_syscall_cost(u64 off);
   Duration writeback(const std::vector<PageKey>& pages);
 
+  // Everything pread/pwrite charge and update except the byte copy: the
+  // read returns the count it would copy; the write grows the file.
+  Timed<u64> charge_read(u64 off, u64 len, IoOpts opts);
+  Duration charge_write(u64 off, u64 len, IoOpts opts);
+
   // Mark [off, off+len) as having allocated blocks.
   void mark_written(u64 off, u64 len);
   // Portions of [off, off+len) backed by allocated blocks, sorted.
   ExtentList written_within(u64 off, u64 len) const;
+
+  // The checksum blocks overlapping `ranges` (clipped at EOF), as sorted,
+  // merged block-index runs.
+  ExtentList touched_blocks(const ExtentList& ranges) const;
+  bool stamped(u64 block) const;
+  u64 hash_block(u64 block) const;
 
   LocalFs* fs_;
   u32 id_;
@@ -104,12 +143,18 @@ class LocalFile {
   // Active byte-range locks: id -> extent.
   std::map<u64, Extent> range_locks_;
   u64 next_lock_id_ = 1;
+  // Stamped checksum blocks as merged index runs: first block -> count.
+  std::map<u64, u64> stamped_;
+  // Stamped blocks a corruption touched since they last verified clean:
+  // block -> the hash of its bytes just before the first such corruption.
+  std::map<u64, u64> settled_;
 };
 
 class LocalFs {
  public:
   LocalFs(std::string name, const DiskParams& disk_params,
-          const FsParams& fs_params, Stats* stats);
+          const FsParams& fs_params, Stats* stats,
+          u64 checksum_block = ReplicationParams{}.integrity_block_bytes);
 
   Result<u32> create(const std::string& path);
   Result<u32> open(const std::string& path);
@@ -125,6 +170,7 @@ class LocalFs {
   PageCache& cache() { return cache_; }
   const FsParams& fs_params() const { return fs_params_; }
   const DiskParams& disk_params() const { return disk_params_; }
+  u64 checksum_block() const { return checksum_block_; }
   Stats* stats() { return stats_; }
   const std::string& name() const { return name_; }
 
@@ -135,9 +181,13 @@ class LocalFs {
   DiskParams disk_params_;
   FsParams fs_params_;
   Stats* stats_;
+  u64 checksum_block_;
   Disk disk_;
   PageCache cache_;
+  // Every file ever created, by fd (purged ones stay, so fds and platter
+  // positions never move); the live ones by path.
   std::vector<std::unique_ptr<LocalFile>> files_;
+  std::unordered_map<std::string, u32> by_path_;
 
   // Files are laid out 4 GiB apart on the simulated platter so inter-file
   // seeks are long and intra-file seeks short.

@@ -288,7 +288,7 @@ void Client::start_op(const OpenFile& file, const core::ListIoRequest& req,
                       IoCallback done, bool wb_flush) {
   Status v = core::validate(req);
   if (!v.is_ok()) {
-    done(IoResult{v, 0, start, start});
+    done(IoResult::instant(v, 0, start));
     return;
   }
   if (ccache_.enabled() && !wb_flush) {
@@ -333,7 +333,7 @@ void Client::start_op(const OpenFile& file, const core::ListIoRequest& req,
                   Extent{opts.allocation_hint_addr, opts.allocation_hint_len})
             : registrar_.acquire(req.mem, strat);
     if (!op->prereg.ok()) {
-      op->done(IoResult{op->prereg.status, 0, op->start, op->start});
+      op->done(IoResult::instant(op->prereg.status, 0, op->start));
       return;
     }
     if (stats_ != nullptr) {
@@ -431,7 +431,7 @@ bool Client::serve_cached_read(const OpenFile& file,
   sim::Trace::instance().emitf(
       s, hca_.name(), "read served from cache: %llu B",
       static_cast<unsigned long long>(off));
-  done(IoResult{Status::ok(), off, s, s});
+  done(IoResult::instant(Status::ok(), off, s));
   return true;
 }
 
@@ -461,12 +461,12 @@ void Client::stage_write_back(const OpenFile& file,
       start_flush(h, [](IoResult) {});
     });
   }
-  done(IoResult{Status::ok(), bytes.size(), s, s});
+  done(IoResult::instant(Status::ok(), bytes.size(), s));
 }
 
 void Client::start_flush(Handle h, IoCallback done) {
   if (!ccache_.write_back() || !ccache_.has_dirty(h)) {
-    done(IoResult{Status::ok(), 0, now_, now_});
+    done(IoResult::instant(Status::ok(), 0, now_));
     return;
   }
   const auto fit = wb_files_.find(h);
@@ -592,7 +592,7 @@ void Client::cache_op_complete(OpState& op) {
 }
 
 IoResult Client::flush(const OpenFile& file) {
-  IoResult res{Status::ok(), 0, now_, now_};
+  IoResult res = IoResult::instant(Status::ok(), 0, now_);
   if (!ccache_.write_back() || !ccache_.has_dirty(file.meta.handle)) {
     return res;
   }

@@ -133,6 +133,16 @@ struct IoResult {
   bool ok() const { return status.is_ok(); }
   // Completed correctly, but only after surviving injected faults.
   bool recovered() const { return ok() && retries > 0; }
+
+  // An operation settled at `at` without issuing a round: rejected, served
+  // from the client cache, or nothing to flush.
+  static IoResult instant(Status s, u64 bytes, TimePoint at) {
+    IoResult r;
+    r.status = std::move(s);
+    r.bytes = bytes;
+    r.start = r.end = at;
+    return r;
+  }
 };
 
 using IoCallback = std::function<void(IoResult)>;

@@ -1,7 +1,6 @@
 #include "pvfs/iod.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -24,7 +23,8 @@ Iod::Iod(u32 id, u32 client_count, const ModelConfig& cfg, ib::Fabric& fabric,
       stats_(stats),
       faults_(faults),
       hca_(iod_name(id), as_, cfg.reg, stats),
-      fs_(iod_name(id), cfg.disk, cfg.fs, stats),
+      fs_(iod_name(id), cfg.disk, cfg.fs, stats,
+          cfg.replication.integrity_block_bytes),
       disk_queue_(iod_name(id) + ".disk"),
       ads_(cfg.disk, cfg.fs, cfg.mem,
            core::AdsConfig{cfg.pvfs.staging_buffer, true, false}, stats) {
@@ -66,10 +66,8 @@ Duration Iod::remove_file(Handle h) {
   // Drop the stripe header with the data: a header outliving its file
   // would resurrect the deleted stripe in a later takeover's header scan
   // (and leak versions into a recreated file reusing the local key). The
-  // block checksums go the same way — stale stamps on a recreated file
-  // would read as instant corruption.
+  // purge dropped the block checksums with the bytes.
   stripe_version_.erase(h);
-  block_sums_.erase(h);
   return cost;
 }
 
@@ -130,26 +128,21 @@ Iod::DiskPhase Iod::write_disk_phase(const RoundRequest& r,
       return out;
     }
     out.cost += lk.value().cost;
-    vmem::AddressSpace& as = as_;
-    std::byte* sieve_buf = as.data(sieve_addr_);
     for (const auto& w : ads_.plan_windows(r.accesses)) {
-      // Read the window span (short at EOF); zero-fill the tail so the
-      // write-back cannot resurrect stale scratch bytes in file holes.
-      Timed<u64> rd = f.pread(w.span.offset, {sieve_buf, w.span.length}, io);
-      out.cost += rd.cost;
-      if (rd.value < w.span.length) {
-        std::memset(sieve_buf + rd.value, 0, w.span.length - rd.value);
-      }
-      // Modify: copy the wanted pieces from the packed stream.
+      // Charged as reading the whole window and writing it back; the host
+      // patches just the wanted pieces from the packed stream in place.
       u64 wanted = 0;
-      for (const auto& p : w.pieces) {
-        std::memcpy(sieve_buf + p.window_off, stream.data() + p.stream_off,
-                    p.length);
-        wanted += p.length;
-      }
+      out.cost += f.read_modify_write(
+          w.span,
+          [&](std::span<std::byte> window) {
+            for (const auto& p : w.pieces) {
+              std::memcpy(window.data() + p.window_off,
+                          stream.data() + p.stream_off, p.length);
+              wanted += p.length;
+            }
+          },
+          io);
       out.cost += cfg_.mem.copy_cost(wanted);
-      // Write the whole window back.
-      out.cost += f.pwrite(w.span.offset, {sieve_buf, w.span.length}, io).cost;
     }
     out.cost += f.unlock_range(lk.value().id);
   }
@@ -621,95 +614,18 @@ Iod::ReadService Iod::read_round(const RoundRequest& r, TimePoint start,
 
 // --- Data integrity ---------------------------------------------------------
 
-u64 Iod::block_checksum(std::span<const std::byte> s) {
-  // Four interleaved multiply-xor lanes over 64-bit words: the chain runs
-  // at word speed instead of FNV-1a's one byte per multiply. A lane step is
-  // a bijection of the lane for a fixed word and of the word for a fixed
-  // lane, so a change confined to one word always changes the sum; the
-  // length seeds lane 0 and a final avalanche spreads every input bit.
-  constexpr u64 kMul = 0x9e3779b97f4a7c15ull;
-  auto step = [](u64 lane, u64 w) { return std::rotl((lane ^ w) * kMul, 31); };
-  auto word = [&](size_t at) {
-    u64 w;
-    std::memcpy(&w, s.data() + at, 8);
-    return w;
-  };
-  u64 lane[4] = {s.size(), 0x243f6a8885a308d3ull, 0x13198a2e03707344ull,
-                 0xa4093822299f31d0ull};
-  size_t i = 0;
-  for (; i + 32 <= s.size(); i += 32) {
-    for (int k = 0; k < 4; ++k) lane[k] = step(lane[k], word(i + 8 * k));
-  }
-  for (; i + 8 <= s.size(); i += 8) lane[0] = step(lane[0], word(i));
-  if (i < s.size()) {
-    u64 tail = 0;  // the last partial word, zero-padded
-    std::memcpy(&tail, s.data() + i, s.size() - i);
-    lane[0] = step(lane[0], tail);
-  }
-  u64 h = lane[0];
-  for (int k = 1; k < 4; ++k) h = step(h, lane[k]);
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdull;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ull;
-  return h ^ (h >> 33);
-}
-
-ExtentList Iod::touched_blocks(const ExtentList& ranges, u64 size) const {
-  const u64 B = std::max<u64>(1, cfg_.replication.integrity_block_bytes);
-  ExtentList out;
-  for (const Extent& r : ranges) {
-    if (r.length == 0 || r.offset >= size) continue;
-    const u64 first = r.offset / B;
-    const u64 last = (std::min(r.end(), size) - 1) / B;
-    out.push_back({first, last - first + 1});
-  }
-  sort_by_offset(out);
-  return coalesce(out);
-}
-
 void Iod::stamp_round(Handle h, const ExtentList& accesses, u64 pre_size) {
   disk::LocalFile& f = file(h);
-  const u64 B = std::max<u64>(1, cfg_.replication.integrity_block_bytes);
-  const u64 size = f.size();
-  if (size == 0) return;
   ExtentList ranges = accesses;
   // Growth restamps the zero-filled gap and the old tail block, whose
   // extent (and therefore checksum) changed when the file grew.
-  if (size > pre_size) ranges.push_back({pre_size, size - pre_size});
-  std::map<u64, u64>& sums = block_sums_[h];
-  const std::span<const std::byte> bytes = f.contents();
-  for (const Extent& run : touched_blocks(ranges, size)) {
-    for (u64 b = run.offset; b < run.end(); ++b) {
-      const u64 lo = b * B;
-      const u64 hi = std::min(lo + B, size);
-      sums[b] = block_checksum(bytes.subspan(lo, hi - lo));
-    }
-  }
+  if (f.size() > pre_size) ranges.push_back({pre_size, f.size() - pre_size});
+  f.stamp(ranges);
 }
 
 bool Iod::verify_ranges(Handle h, const ExtentList& accesses) {
-  const auto bit = block_sums_.find(h);
-  if (bit == block_sums_.end()) return true;
   const auto fit = files_.find(h);
-  if (fit == files_.end()) return true;
-  const disk::LocalFile& f = fs_.file(fit->second);
-  const u64 B = std::max<u64>(1, cfg_.replication.integrity_block_bytes);
-  const u64 size = f.size();
-  const std::span<const std::byte> bytes = f.contents();
-  const std::map<u64, u64>& sums = bit->second;
-  for (const Extent& run : touched_blocks(accesses, size)) {
-    // Only stamped blocks are checked; a pre-v2 block is trusted.
-    for (auto s = sums.lower_bound(run.offset);
-         s != sums.end() && s->first < run.end(); ++s) {
-      const u64 lo = s->first * B;
-      const u64 hi = std::min(lo + B, size);
-      if (block_checksum(bytes.subspan(lo, hi - lo)) != s->second) {
-        return false;
-      }
-    }
-  }
-  return true;
+  return fit == files_.end() || fs_.file(fit->second).verify(accesses);
 }
 
 void Iod::corrupt_torn(Handle h, const ExtentList& accesses, TimePoint at) {
@@ -718,14 +634,14 @@ void Iod::corrupt_torn(Handle h, const ExtentList& accesses, TimePoint at) {
   // Keep a prefix of the round's stream on the platter; the torn tail
   // reads back garbled under the intact (intended-content) stamps.
   const u64 keep = faults_->draw(total);
-  std::span<std::byte> bytes = file(h).mutable_contents();
+  disk::LocalFile& f = file(h);
   u64 pos = 0;
   for (const Extent& a : accesses) {
-    for (u64 i = 0; i < a.length; ++i, ++pos) {
-      if (pos < keep) continue;
-      const u64 off = a.offset + i;
-      if (off < bytes.size()) bytes[off] ^= std::byte{0x5a};
+    if (pos + a.length > keep) {
+      const u64 skip = keep > pos ? keep - pos : 0;
+      f.corrupt({a.offset + skip, a.length - skip}, std::byte{0x5a});
     }
+    pos += a.length;
   }
   sim::Trace::instance().emitf(
       at, hca_.name(),
@@ -740,12 +656,12 @@ void Iod::corrupt_flip(Handle h, const ExtentList& accesses, TimePoint at) {
   if (total == 0) return;
   u64 pos = faults_->draw(total);
   const u32 bit = static_cast<u32>(faults_->draw(8));
-  std::span<std::byte> bytes = file(h).mutable_contents();
+  disk::LocalFile& f = file(h);
   for (const Extent& a : accesses) {
     if (pos < a.length) {
       const u64 off = a.offset + pos;
-      if (off < bytes.size()) {
-        bytes[off] ^= static_cast<std::byte>(1u << bit);
+      if (off < f.size()) {
+        f.corrupt({off, 1}, static_cast<std::byte>(1u << bit));
         sim::Trace::instance().emitf(
             at, hca_.name(),
             "bit flip injected on h%llu at %llu (bit %u)",
@@ -772,7 +688,7 @@ void Iod::inject_bit_flip(TimePoint at) {
   disk::LocalFile& f = fs_.file(cands[faults_->draw(cands.size())]);
   const u64 off = faults_->draw(f.size());
   const u32 bit = static_cast<u32>(faults_->draw(8));
-  f.mutable_contents()[off] ^= static_cast<std::byte>(1u << bit);
+  f.corrupt({off, 1}, static_cast<std::byte>(1u << bit));
   if (stats_ != nullptr) stats_->add(stat::kFaultBitFlip);
   sim::Trace::instance().emitf(
       at, hca_.name(), "bit flip injected at rest: %s off %llu bit %u",

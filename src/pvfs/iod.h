@@ -147,11 +147,13 @@ class Iod {
   // --- Data integrity (stripe block checksums) --------------------------
   // Every applied write (rounds, repairs, resync pulls) stamps a 64-bit
   // checksum per fixed-size block (ReplicationParams::integrity_block_bytes)
-  // of the touched byte ranges into the local stripe header (format v2; the
-  // version map above is format v1 and untouched, so takeover header scans
-  // are unchanged). Stamping and verify-on-read are charged zero simulated
-  // time — the hash overlaps the disk phase on real hardware — which keeps
-  // fault-free timelines byte-identical to the pre-checksum model.
+  // of the touched byte ranges into the local stripe header (format v2,
+  // kept beside the bytes in disk::LocalFile; the version map above is
+  // format v1 and untouched, so takeover header scans are unchanged).
+  // Stamps are lazy — only a corruption forces a hash — and stamping and
+  // verify-on-read are charged zero simulated time (the hash overlaps the
+  // disk phase on real hardware), which keeps fault-free timelines
+  // byte-identical to the pre-checksum model.
 
   // Scheduled kBitFlip hook (Cluster wires it via install_corruption_hooks):
   // flip one stored bit of one nonempty local file, both chosen by the
@@ -226,21 +228,13 @@ class Iod {
   void resync_step(std::shared_ptr<ResyncState> st);
 
   // --- Integrity internals ----------------------------------------------
-  // 64-bit checksum of a block's stored bytes, hashed a word at a time.
-  static u64 block_checksum(std::span<const std::byte> s);
-  // The checksum blocks overlapping `ranges` of a file of `size` bytes, as
-  // sorted, merged block-index runs: each block once, however many ranges
-  // of a round touch it.
-  ExtentList touched_blocks(const ExtentList& ranges, u64 size) const;
   // Restamp every checksum block overlapping `accesses` — plus, when the
   // apply grew the file past `pre_size`, the zero-filled growth (whose
-  // blocks changed extent) — from the file's current contents. Each block
-  // is hashed once per call.
+  // blocks changed extent) — as the hash of the file's current contents.
   void stamp_round(Handle h, const ExtentList& accesses, u64 pre_size);
-  // Recompute the stamped checksums of every block overlapping `accesses`,
-  // each block once; false on any mismatch. Blocks without a stamp
-  // (format-v1 headers from before the apply) are trusted, so old content
-  // stays readable.
+  // Check the stamped checksums of every block overlapping `accesses`;
+  // false on any mismatch. Blocks without a stamp (format-v1 headers from
+  // before the apply) are trusted, so old content stays readable.
   bool verify_ranges(Handle h, const ExtentList& accesses);
   // Corruption appliers (write_round, after stamping the intended bytes):
   // garble a suffix of the round's stored byte ranges / flip one stored bit
@@ -266,7 +260,7 @@ class Iod {
   // staging_[client * slots_per_client_ + slot].
   std::vector<core::StagingBuffer> staging_;
   u32 slots_per_client_ = 1;
-  u64 sieve_addr_ = 0;  // sieve buffer (RMW scratch), registered
+  u64 sieve_addr_ = 0;  // sieve buffer for sieved reads, registered
   u32 sieve_key_ = 0;
   std::map<Handle, u32> files_;  // handle -> local fd
   // Highest applied round_seq per (client, slot): the replay-dedupe log.
@@ -275,11 +269,6 @@ class Iod {
   // Stripe-header versions per local file (see stripe_version()). Only ever
   // populated by versioned (replicated) writes; empty at factor 1.
   std::map<Handle, u64> stripe_version_;
-  // Per-block checksums per local file (header format v2): block index ->
-  // block_checksum() of the block's stored bytes. Kept as if durable,
-  // beside the version headers. Every applied write stamps; reads and the
-  // scrubber verify.
-  std::map<Handle, std::map<u64, u64>> block_sums_;
   // Highest manager epoch this iod has been told about, per metadata shard
   // (empty/0 until a takeover sweep; the fence in write_round only engages
   // for versioned rounds that carry an older, non-zero epoch of their

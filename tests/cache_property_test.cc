@@ -119,7 +119,9 @@ TEST(CacheProperty, RandomSchedulesNeverServeStaleBytes) {
         cl[0]->memory().write_pod<u8>(a + i, mirror[i]);
       }
       ASSERT_TRUE(cl[0]->write(files[0], 0, a, n).ok());
-      if (write_back) ASSERT_TRUE(cl[0]->flush(files[0]).ok());
+      if (write_back) {
+        ASSERT_TRUE(cl[0]->flush(files[0]).ok());
+      }
     }
     files[1] = cl[1]->open("/cprop").value();
     files[2] = cl[2]->open("/cprop").value();

@@ -280,6 +280,27 @@ TEST_F(IodTest, RemoveFilePurgesTheStripeHeader) {
   EXPECT_TRUE(iod_.stripe_headers().empty());
 }
 
+// A removed handle frees its local file's name: the next write to the handle
+// creates the file afresh, with none of the old bytes or checksums.
+TEST_F(IodTest, RemovedHandleIsRecreatedByTheNextWrite) {
+  stage_pattern(4096, 1);
+  iod_.write_round(round({{0, 4096}}, true, false), TimePoint::origin());
+  iod_.remove_file(7);
+  stage_pattern(2048, 2);
+  iod_.write_round(round({{100, 2048}}, true, false), TimePoint::origin());
+  EXPECT_EQ(iod_.file(7).size(), 2148u);
+  Iod::ReadService svc =
+      iod_.read_round(round({{0, 2148}}, false, false), TimePoint::origin(),
+                      ReadReturn::kClientPull, nullptr, 0, 0);
+  ASSERT_TRUE(svc.ok());
+  const u64 addr = iod_.staging(0).addr;
+  const auto& as = iod_.hca().address_space();
+  for (u64 i = 0; i < 100; ++i) ASSERT_EQ(as.read_pod<u8>(addr + i), 0);
+  for (u64 i = 0; i < 2048; ++i) {
+    ASSERT_EQ(as.read_pod<u8>(addr + 100 + i), static_cast<u8>(2 + i * 13));
+  }
+}
+
 // A round of many small pieces puts several pieces in one checksum block, and
 // stamping hashes each block once for all of them. Every block the round
 // touched, including the short last one, must carry a stamp that a later
@@ -301,10 +322,9 @@ TEST_F(IodTest, ManyPieceRoundStampsEveryBlock) {
   ASSERT_TRUE(read_all().ok());
   for (u64 off : {u64{0}, u64{150}, u64{650}, u64{16 * kKiB - 1},
                   u64{16 * kKiB}, u64{33 * kKiB}, size - 8, size - 1}) {
-    std::byte& b = f.mutable_contents()[off];
-    b ^= std::byte{0x04};
+    f.corrupt({off, 1}, std::byte{0x04});
     EXPECT_FALSE(read_all().ok()) << off;
-    b ^= std::byte{0x04};
+    f.corrupt({off, 1}, std::byte{0x04});
     EXPECT_TRUE(read_all().ok()) << off;
   }
 }
@@ -323,10 +343,10 @@ TEST_F(IodTest, GrowthRestampsGapAndOldTail) {
   EXPECT_TRUE(read({0, 200}).ok());
   EXPECT_TRUE(read({20 * kKiB, 10}).ok());
   disk::LocalFile& f = iod_.file(7);
-  f.mutable_contents()[20 * kKiB + 3] ^= std::byte{0x10};
+  f.corrupt({20 * kKiB + 3, 1}, std::byte{0x10});
   EXPECT_FALSE(read({20 * kKiB, 10}).ok());
   EXPECT_TRUE(read({0, 200}).ok());  // other blocks unaffected
-  f.mutable_contents()[150] ^= std::byte{0x01};
+  f.corrupt({150, 1}, std::byte{0x01});
   EXPECT_FALSE(read({0, 10}).ok());
 }
 

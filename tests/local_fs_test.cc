@@ -172,6 +172,116 @@ TEST_F(LocalFsTest, PurgeReleasesDataAndCache) {
   EXPECT_EQ(f.pread(0, buf).value, 0u);
 }
 
+TEST_F(LocalFsTest, PurgeFreesThePathForANewFile) {
+  const u32 fd = fs_.create("/pvfs/h7").value();
+  fs_.file(fd).pwrite(0, pattern(100));
+  fs_.file(fd).purge();
+  EXPECT_FALSE(fs_.exists("/pvfs/h7"));
+  EXPECT_FALSE(fs_.open("/pvfs/h7").is_ok());
+  // A new file takes the next fd (and platter position); the purged one
+  // keeps its own.
+  Result<u32> again = fs_.create("/pvfs/h7");
+  ASSERT_TRUE(again.is_ok());
+  EXPECT_EQ(again.value(), fd + 1);
+  EXPECT_EQ(fs_.open("/pvfs/h7").value(), fd + 1);
+  EXPECT_EQ(fs_.file(fd + 1).size(), 0u);
+  // Purging the old file again leaves the new one's name alone.
+  fs_.file(fd).purge();
+  EXPECT_TRUE(fs_.exists("/pvfs/h7"));
+}
+
+// Stamps are lazy and only a corruption forces a hash: a stamped block a
+// corruption touched fails verify until its bytes are restored or it is
+// restamped; unstamped blocks are trusted; purge drops the table.
+TEST_F(LocalFsTest, BlockChecksumsCatchCorruptionBehindAStamp) {
+  LocalFile& f = fs_.file(fs_.create("f").value());
+  f.pwrite(0, pattern(40 * kKiB));  // blocks 0-2, the last one short
+  f.corrupt({100, 1}, std::byte{0x01});
+  EXPECT_TRUE(f.verify({{0, 40 * kKiB}}));  // nothing stamped yet
+
+  f.stamp({{0, 40 * kKiB}});
+  EXPECT_TRUE(f.verify({{0, 40 * kKiB}}));
+  f.corrupt({100, 1}, std::byte{0x01});
+  EXPECT_FALSE(f.verify({{0, 10}}));
+  EXPECT_TRUE(f.verify({{16 * kKiB, 16 * kKiB}}));  // other blocks intact
+  f.corrupt({100, 1}, std::byte{0x01});             // restored
+  EXPECT_TRUE(f.verify({{0, 40 * kKiB}}));
+
+  // A corruption spanning blocks, then a restamp of the first block only.
+  f.corrupt({16 * kKiB - 2, 4}, std::byte{0x80});
+  EXPECT_FALSE(f.verify({{0, 1}}));
+  EXPECT_FALSE(f.verify({{16 * kKiB, 1}}));
+  f.stamp({{5, 1}});
+  EXPECT_TRUE(f.verify({{0, 1}}));
+  EXPECT_FALSE(f.verify({{0, 40 * kKiB}}));
+  // Corruption past EOF is clipped away.
+  f.corrupt({40 * kKiB, 100}, std::byte{0xff});
+  EXPECT_EQ(f.size(), 40 * kKiB);
+
+  f.purge();
+  f.pwrite(0, pattern(40 * kKiB));
+  f.corrupt({16 * kKiB, 1}, std::byte{0x01});
+  EXPECT_TRUE(f.verify({{0, 40 * kKiB}}));  // the old stamps went too
+}
+
+// read_modify_write charges exactly what pread(window) followed by
+// pwrite(window) charges, and leaves the same bytes, while only the patched
+// pieces are copied. Checked on two identical file systems with a page cache
+// small enough to evict, for a window inside the file, one over a hole and
+// one across EOF, with and without O_DIRECT.
+TEST(LocalFsRmw, MatchesPreadThenPwrite) {
+  for (const bool direct : {false, true}) {
+    SCOPED_TRACE(direct ? "direct" : "cached");
+    DiskParams dp;
+    dp.cache_capacity = 24 * kPageSize;
+    Stats sa;
+    Stats sb;
+    LocalFs a("a", dp, FsParams{}, &sa);
+    LocalFs b("b", dp, FsParams{}, &sb);
+    const IoOpts io{.direct = direct};
+    for (LocalFs* fs : {&a, &b}) {
+      LocalFile& f = fs->file(fs->create("f").value());
+      f.pwrite(0, pattern(40 * kKiB, 3));
+      f.pwrite(200 * kKiB, pattern(30 * kKiB, 4));  // EOF at 230 KiB
+      f.fsync();
+      std::vector<std::byte> buf(12 * kKiB);
+      f.pread(4 * kKiB, buf);  // part of the file cached
+    }
+    LocalFile& fa = a.file(0);
+    LocalFile& fb = b.file(0);
+    const Extent windows[] = {
+        {3 * kKiB + 100, 30 * kKiB},  // inside the file
+        {60 * kKiB, 100 * kKiB},      // over the hole
+        {220 * kKiB + 7, 40 * kKiB},  // across EOF
+    };
+    for (const Extent& w : windows) {
+      SCOPED_TRACE(to_string(w));
+      // Three pieces of the window, from a packed stream.
+      const std::vector<std::byte> stream = pattern(3 * kKiB, 9);
+      const u64 piece_off[] = {0, w.length / 2, w.length - kKiB};
+      auto patch = [&](std::span<std::byte> window) {
+        for (u64 i = 0; i < 3; ++i) {
+          std::copy_n(stream.begin() + i * kKiB, kKiB,
+                      window.begin() + piece_off[i]);
+        }
+      };
+
+      std::vector<std::byte> buf(w.length);
+      Timed<u64> rd = fa.pread(w.offset, buf, io);
+      std::fill(buf.begin() + rd.value, buf.end(), std::byte{0});
+      patch(buf);
+      const Duration want = rd.cost + fa.pwrite(w.offset, buf, io).cost;
+
+      EXPECT_EQ(fb.read_modify_write(w, patch, io), want);
+      EXPECT_EQ(sb.counters(), sa.counters());
+      EXPECT_EQ(fb.size(), fa.size());
+      ASSERT_TRUE(std::ranges::equal(fb.contents(), fa.contents()));
+    }
+    EXPECT_GT(sa.get("fs.lseek"), 0);
+    EXPECT_EQ(b.cache().flush_dirty(0), a.cache().flush_dirty(0));
+  }
+}
+
 TEST_F(LocalFsTest, PartialCacheHitMixesCosts) {
   const u32 fd = fs_.create("f").value();
   LocalFile& f = fs_.file(fd);

@@ -110,7 +110,9 @@ TEST_F(ShardedManagerTest, MintsHandlesInItsResidueClass) {
     const Handle h = f.value.value().handle;
     EXPECT_EQ(shard_of_handle(h, 4), 1u);
     EXPECT_EQ((h - 1) % 4, 1u);
-    if (prev != 0) EXPECT_EQ(h, prev + 4);
+    if (prev != 0) {
+      EXPECT_EQ(h, prev + 4);
+    }
     prev = h;
   }
 }
