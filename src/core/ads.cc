@@ -72,28 +72,32 @@ Duration ActiveDataSieving::t_write_sieved(u64 s_req, u64 s_ds,
          fs_.unlock_overhead;
 }
 
-u64 ActiveDataSieving::sieved_bytes(const ExtentList& accesses) const {
+u64 ActiveDataSieving::span_bytes(const std::vector<Window>& plan,
+                                  u64 file_size) {
   u64 total = 0;
-  for (const Window& w : plan_windows(accesses)) total += w.span.length;
-  return total;
-}
-
-u64 ActiveDataSieving::sieved_readable_bytes(const ExtentList& accesses,
-                                             u64 file_size) const {
-  u64 total = 0;
-  for (const Window& w : plan_windows(accesses)) {
+  for (const Window& w : plan) {
     if (w.span.offset >= file_size) continue;
     total += std::min(w.span.end(), file_size) - w.span.offset;
   }
   return total;
 }
 
+u64 ActiveDataSieving::sieved_bytes(const ExtentList& accesses) const {
+  return span_bytes(plan_windows(accesses), ~0ULL);
+}
+
+u64 ActiveDataSieving::sieved_readable_bytes(const ExtentList& accesses,
+                                             u64 file_size) const {
+  return span_bytes(plan_windows(accesses), file_size);
+}
+
 AdsDecision ActiveDataSieving::decide(const ExtentList& accesses,
                                       bool is_write, u64 file_size) const {
   AdsDecision d;
+  d.windows = plan_windows(accesses);
   d.s_req = total_length(accesses);
-  d.s_ds = sieved_bytes(accesses);
-  const u64 s_ds_read = sieved_readable_bytes(accesses, file_size);
+  d.s_ds = span_bytes(d.windows, ~0ULL);
+  const u64 s_ds_read = span_bytes(d.windows, file_size);
   d.t_separate =
       is_write ? t_write_separate(accesses) : t_read_separate(accesses);
   d.t_sieve = is_write ? t_write_sieved(d.s_req, d.s_ds, s_ds_read)

@@ -35,13 +35,7 @@ struct AdsConfig {
   bool force = false;   // ablation: sieve regardless of the model
 };
 
-struct AdsDecision {
-  bool sieve = false;
-  Duration t_separate = Duration::zero();
-  Duration t_sieve = Duration::zero();
-  u64 s_req = 0;  // total bytes wanted
-  u64 s_ds = 0;   // total bytes a sieved execution touches
-};
+struct AdsDecision;
 
 class ActiveDataSieving {
  public:
@@ -56,6 +50,8 @@ class ActiveDataSieving {
   // server-side advantages the paper claims for ADS — the I/O node knows
   // the underlying file's state, a client-side implementation does not.
   // Defaults to "everything exists" (the fully conservative model).
+  // The decision carries the window plan it priced, which is the plan a
+  // sieved execution runs.
   AdsDecision decide(const ExtentList& accesses, bool is_write,
                      u64 file_size = ~0ULL) const;
 
@@ -96,11 +92,23 @@ class ActiveDataSieving {
   void set_enabled(bool v) { cfg_.enabled = v; }
 
  private:
+  // Bytes of the plan's window spans below `file_size`.
+  static u64 span_bytes(const std::vector<Window>& plan, u64 file_size);
+
   DiskParams disk_;
   FsParams fs_;
   MemParams mem_;
   AdsConfig cfg_;
   Stats* stats_;
+};
+
+struct AdsDecision {
+  bool sieve = false;
+  Duration t_separate = Duration::zero();
+  Duration t_sieve = Duration::zero();
+  u64 s_req = 0;  // total bytes wanted
+  u64 s_ds = 0;   // total bytes a sieved execution touches
+  std::vector<ActiveDataSieving::Window> windows;  // plan_windows(accesses)
 };
 
 }  // namespace pvfsib::core

@@ -278,19 +278,6 @@ Duration LocalFile::purge() {
   return fs_->fs_params().write_overhead;  // the unlink metadata update
 }
 
-Duration LocalFile::lock() {
-  assert(!locked_ && "file already locked (ADS must serialize RMW)");
-  locked_ = true;
-  if (fs_->stats() != nullptr) fs_->stats()->add("fs.lock");
-  return fs_->fs_params().lock_overhead;
-}
-
-Duration LocalFile::unlock() {
-  assert(locked_);
-  locked_ = false;
-  return fs_->fs_params().unlock_overhead;
-}
-
 Result<LocalFile::RangeLock> LocalFile::lock_range(const Extent& range) {
   if (range.empty()) return invalid_argument("empty lock range");
   if (range_locked(range)) {

@@ -55,13 +55,9 @@ class LocalFile {
   // Flush dirty pages to media.
   Duration fsync();
 
-  // Whole-file advisory lock (ADS read-modify-write holds this).
-  Duration lock();
-  Duration unlock();
-  bool locked() const { return locked_; }
-
   // Byte-range advisory locks ("the portion of the file being accessed
-  // must be locked"). Conflicting requests fail rather than block — the
+  // must be locked"); an ADS read-modify-write holds one over the round's
+  // bounding span. Conflicting requests fail rather than block — the
   // simulation is single-threaded, so a conflict is a protocol bug.
   struct RangeLock {
     u64 id = 0;
@@ -134,7 +130,6 @@ class LocalFile {
   std::string path_;
   u64 disk_base_;  // position of byte 0 on the platter
   u64 logical_pos_ = 0;
-  bool locked_ = false;
   // Zero-on-touch, so a file's holes cost no host memory.
   ZeroPages content_;
   // Allocated block ranges: reading a hole inside a sparse file returns

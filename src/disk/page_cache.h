@@ -1,16 +1,17 @@
 // Unified LRU page cache shared by all files on one I/O node, with dirty
 // tracking for write-back. Cache-hit service bandwidths come straight from
 // Table 3's "with cache" bonnie rows.
+//
+// Layout: cached pages live in a slot array whose entries form the LRU as
+// an intrusive doubly linked list of slot indices; each file has a page
+// table (page -> slot) and a dirty bitmap. A lookup is an index, a touch
+// relinks two slots, and the bookkeeping allocates nothing per page.
 #pragma once
 
-#include <list>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "common/config.h"
 #include "common/extent.h"
-#include "common/stats.h"
 
 namespace pvfsib::disk {
 
@@ -22,11 +23,12 @@ struct PageKey {
 
 class PageCache {
  public:
-  explicit PageCache(const DiskParams& params) : params_(params) {
-    capacity_pages_ = params.cache_capacity / kPageSize;
-  }
+  explicit PageCache(const DiskParams& params);
 
-  bool cached(PageKey k) const { return entries_.count(k) != 0; }
+  bool cached(PageKey k) const {
+    return k.file < files_.size() && k.page < files_[k.file].slot.size() &&
+           files_[k.file].slot[k.page] != kNone;
+  }
 
   // Byte ranges of `window` (file byte space) currently cached for `file`.
   ExtentList cached_ranges(u32 file, const Extent& window) const;
@@ -43,23 +45,45 @@ class PageCache {
   std::vector<PageKey> drop(u32 file);
   std::vector<PageKey> drop_all();
 
-  u64 pages_cached() const { return entries_.size(); }
+  u64 pages_cached() const { return pages_cached_; }
   u64 capacity_pages() const { return capacity_pages_; }
 
  private:
-  struct Entry {
-    std::list<PageKey>::iterator lru_it;
+  // Slot 0 is the LRU list's sentinel (next = most recent, prev = least
+  // recent), so slot index 0 doubles as "not cached" in a page table.
+  // Free slots chain through `next`.
+  static constexpr u32 kNone = 0;
+  struct Slot {
+    u64 page = 0;
+    u32 file = 0;
+    u32 prev = kNone;
+    u32 next = kNone;
+  };
+  // Per-file state, indexed by file id (LocalFs fds: small and dense).
+  // `slot` grows only to the file's highest inserted page (4 bytes per
+  // 4 KiB page); drop() releases it.
+  struct FileTable {
+    std::vector<u32> slot;  // page -> slot index
+    std::vector<u64> dirty;  // one bit per page
+    u64 dirty_lo = 0;  // every dirty page lies in [dirty_lo, dirty_hi)
+    u64 dirty_hi = 0;
   };
 
-  void touch(std::map<PageKey, Entry>::iterator it);
+  void link_front(u32 s);
+  void unlink(u32 s);
+  // Unlink slot `s` from the LRU and put it on the free list.
+  void release(u32 s);
+  void evict_lru(std::vector<PageKey>& evicted_dirty);
+  // Calls emit(page) for each dirty page of `t` in ascending order and
+  // marks it clean.
+  template <typename Emit>
+  static void take_dirty(FileTable& t, Emit emit);
 
-  DiskParams params_;
   u64 capacity_pages_ = 0;
-  std::map<PageKey, Entry> entries_;
-  std::list<PageKey> lru_;  // front = most recent
-  // The dirty-page index: file -> its cached dirty pages, ascending. An
-  // fsync visits only these instead of every cached page of the file.
-  std::map<u32, std::set<u64>> dirty_;
+  u64 pages_cached_ = 0;
+  std::vector<Slot> slots_;
+  u32 free_ = kNone;
+  std::vector<FileTable> files_;
 };
 
 }  // namespace pvfsib::disk

@@ -981,11 +981,13 @@ void Client::round_done(std::shared_ptr<OpState> op, u32 iod_idx,
     result.phases = op->phases;
     result.retries = op->retries;
     result.failovers = op->failovers;
-    sim::Trace::instance().emitf(
-        result.end, hca_.name(), "%s op complete: %llu B in %s",
-        op->is_write ? "write" : "read",
-        static_cast<unsigned long long>(result.bytes),
-        result.elapsed().to_string().c_str());
+    if (sim::Trace::instance().enabled()) {
+      sim::Trace::instance().emitf(
+          result.end, hca_.name(), "%s op complete: %llu B in %s",
+          op->is_write ? "write" : "read",
+          static_cast<unsigned long long>(result.bytes),
+          result.elapsed().to_string().c_str());
+    }
     op->done(result);
   }
 }
@@ -1172,10 +1174,12 @@ void Client::retry_or_fail(std::shared_ptr<OpState> op, u32 iod_idx,
   }
   backoff = min(backoff, fc.backoff_cap);
   ++tr->attempts;
-  sim::Trace::instance().emitf(
-      t, hca_.name(), "iod%u round %zu retry %u in %s (%s)",
-      current_target(*op, iod_idx), round_idx + 1, tr->attempts - 1,
-      backoff.to_string().c_str(), why.message().c_str());
+  if (sim::Trace::instance().enabled()) {
+    sim::Trace::instance().emitf(
+        t, hca_.name(), "iod%u round %zu retry %u in %s (%s)",
+        current_target(*op, iod_idx), round_idx + 1, tr->attempts - 1,
+        backoff.to_string().c_str(), why.message().c_str());
+  }
   engine_.schedule_at(t + backoff, [this, op, iod_idx, round_idx, tr] {
     if (tr->settled) return;
     if (op->is_write) {

@@ -99,8 +99,11 @@ Iod::DiskPhase Iod::write_disk_phase(const RoundRequest& r,
 
   // Short-circuit: the decision model is only consulted (and only counts
   // towards the profile) when the client allowed server-side sieving.
-  const bool sieve =
-      r.use_ads && ads_.decide(r.accesses, /*is_write=*/true, f.size()).sieve;
+  core::AdsDecision decision;
+  if (r.use_ads) {
+    decision = ads_.decide(r.accesses, /*is_write=*/true, f.size());
+  }
+  const bool sieve = decision.sieve;
   sim::Trace::instance().emitf(
       when, hca_.name(),
       "write round h%llu slot%u @%llu: %zu accesses, %llu B -> %s",
@@ -119,16 +122,14 @@ Iod::DiskPhase Iod::write_disk_phase(const RoundRequest& r,
     }
   } else {
     // Read-modify-write under a byte-range lock covering the sieve spans.
-    ExtentList sorted = r.accesses;
-    sort_by_offset(sorted);
     Result<disk::LocalFile::RangeLock> lk =
-        f.lock_range(bounding_span(sorted));
+        f.lock_range(bounding_span(r.accesses));
     if (!lk.is_ok()) {
       out.status = lk.status();
       return out;
     }
     out.cost += lk.value().cost;
-    for (const auto& w : ads_.plan_windows(r.accesses)) {
+    for (const auto& w : decision.windows) {
       // Charged as reading the whole window and writing it back; the host
       // patches just the wanted pieces from the packed stream in place.
       u64 wanted = 0;
@@ -494,9 +495,11 @@ Iod::ReadService Iod::read_round(const RoundRequest& r, TimePoint start,
   }
 
   disk::LocalFile& f = file(r.handle);
-  const bool sieve =
-      r.use_ads &&
-      ads_.decide(r.accesses, /*is_write=*/false, f.size()).sieve;
+  core::AdsDecision decision;
+  if (r.use_ads) {
+    decision = ads_.decide(r.accesses, /*is_write=*/false, f.size());
+  }
+  const bool sieve = decision.sieve;
   sim::Trace::instance().emitf(
       start, hca_.name(), "read round h%llu: %zu accesses, %llu B -> %s, %s",
       static_cast<unsigned long long>(r.handle), r.accesses.size(),
@@ -538,7 +541,7 @@ Iod::ReadService Iod::read_round(const RoundRequest& r, TimePoint start,
   std::byte* sieve_buf = as_.data(sieve_addr_);
   TimePoint net_done = start;
   TimePoint disk_done = start;
-  for (const auto& w : ads_.plan_windows(r.accesses)) {
+  for (const auto& w : decision.windows) {
     Timed<u64> rd = f.pread(w.span.offset, {sieve_buf, w.span.length}, {});
     if (rd.value < w.span.length) {
       std::memset(sieve_buf + rd.value, 0, w.span.length - rd.value);

@@ -156,13 +156,15 @@ MetaClient::Outcome MetaClient::call(const MetaRequest& rq, TimePoint issue) {
     if (cs.candidates.size() > 1) {
       cs.active = (cs.active + 1) % cs.candidates.size();
       if (stats_ != nullptr) stats_->add(stat::kPvfsMetaFailovers);
-      sim::Trace::instance().emitf(
-          noticed, hca_.name(),
-          "metadata %s, failing over to %s (retry %u in %s)",
-          lost ? "timeout" : "redirect",
-          cs.candidates[cs.active]->hca().name().c_str(), retries,
-          backoff.to_string().c_str());
-    } else {
+      if (sim::Trace::instance().enabled()) {
+        sim::Trace::instance().emitf(
+            noticed, hca_.name(),
+            "metadata %s, failing over to %s (retry %u in %s)",
+            lost ? "timeout" : "redirect",
+            cs.candidates[cs.active]->hca().name().c_str(), retries,
+            backoff.to_string().c_str());
+      }
+    } else if (sim::Trace::instance().enabled()) {
       sim::Trace::instance().emitf(
           issue + fc.round_timeout, hca_.name(), "metadata retry %u in %s",
           retries, backoff.to_string().c_str());

@@ -109,7 +109,7 @@ TEST_F(IodTest, WriteRoundSievedRmwPreservesSurroundingData) {
   EXPECT_EQ(stats_.get(stat::kAdsSieved), 1);
   // One window: one RMW write, not 64.
   EXPECT_LE(stats_.get(stat::kDiskWrite) - writes_before, 2);
-  EXPECT_FALSE(f.locked());  // lock released
+  EXPECT_FALSE(f.range_locked(bounding_span(acc)));  // range lock released
 
   auto contents = f.contents();
   for (u64 i = 0; i < 64; ++i) {
