@@ -324,6 +324,17 @@ struct FaultConfig {
   }
 };
 
+// Capped exponential backoff before retry number `retry` (1 = the first):
+// base * mult^(retry - 1), never above `cap`. Data-round and metadata
+// retries pass FaultConfig's backoff_* fields, shard-map re-refreshes
+// MigrationParams' map_refresh_backoff*.
+inline Duration capped_backoff(Duration base, double mult, Duration cap,
+                               u32 retry) {
+  Duration backoff = base;
+  for (u32 i = 1; i < retry && backoff < cap; ++i) backoff = backoff * mult;
+  return min(backoff, cap);
+}
+
 // --- Stripe replication (primary/backup) ------------------------------------
 // Classic PVFS keeps no redundancy: a crashed iod whose outage outlives the
 // retry budget fails the operation. With factor > 1 the manager places each
@@ -339,24 +350,14 @@ struct ReplicationParams {
   // (durable but a crashed backup stalls the round until it restarts or the
   // budget runs out). 1 trades durability for availability.
   u32 write_quorum = 0;
-  // Reads re-route the remaining rounds of a chain to the next live replica
-  // when the serving iod exhausts its retry budget.
-  bool read_failover = true;
 
   // --- Version plane (per-stripe versions, read-repair, resync) -----------
   // Every replicated write round carries a monotonically increasing
   // per-stripe version; acks return the version the replica now holds, so
-  // the manager's staleness map knows which replicas are current. The three
-  // knobs below build repair paths on that map. All of it is structurally
-  // absent at factor 1.
+  // the manager's staleness map knows which replicas are current. Read
+  // placement, read-repair (Client::maybe_read_repair) and the knobs below
+  // build on that map. All of it is structurally absent at factor 1.
   //
-  // Read-repair: a read served by a fresher replica while another replica's
-  // recorded version trails schedules an async repair write of the just-read
-  // data to the stale one (pvfs.read_repairs). Heals content
-  // opportunistically; only write acks and resync mark a replica current in
-  // the staleness map (a repair covers one round's byte range, not
-  // necessarily everything its version covers).
-  bool read_repair = true;
   // When several replicas are current, serve the read from the one with the
   // lowest adaptive-timeout srtt estimate instead of always the primary
   // (first slice of fault-aware scheduling). Off by default so fault-free
@@ -392,10 +393,6 @@ struct ReplicationParams {
   bool scrub = false;
   Duration scrub_interval = Duration::ms(10.0);  // one chunk per tick per iod
   u64 scrub_chunk_bytes = 256 * kKiB;            // bytes verified per tick
-
-  u32 effective_quorum() const {
-    return write_quorum == 0 ? factor : std::min(write_quorum, factor);
-  }
 };
 
 // --- Live shard migration / resharding --------------------------------------

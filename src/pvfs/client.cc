@@ -10,6 +10,36 @@ namespace pvfsib::pvfs {
 
 namespace {
 std::string client_name(u32 id) { return "client" + std::to_string(id); }
+
+// The bytes of `mem`, concatenated in list order.
+std::vector<std::byte> gather(const vmem::AddressSpace& as,
+                              const core::MemSegmentList& mem) {
+  std::vector<std::byte> out;
+  out.reserve(core::total_bytes(mem));
+  for (const core::MemSegment& m : mem) {
+    const std::span<const std::byte> s = as.readable_span(m.addr, m.length);
+    out.insert(out.end(), s.begin(), s.end());
+  }
+  return out;
+}
+
+// Fast-RDMA eager test: a `bytes`-sized round fits the pre-registered
+// bounce buffer path under a packing transfer scheme.
+bool fast_rdma(const PvfsParams& p, const core::TransferPolicy& pol,
+               u64 bytes) {
+  return bytes <= p.fast_rdma_threshold &&
+         (pol.scheme == core::XferScheme::kHybrid ||
+          pol.scheme == core::XferScheme::kPackUnpack);
+}
+
+// Book a transfer that started at `from`: its registration work, and the
+// rest of its span as wire time. A failed transfer books nothing.
+void charge_transfer(IoPhases& ph, const core::TransferOutcome& x,
+                     TimePoint from) {
+  if (!x.ok()) return;
+  ph.registration += x.reg_cost;
+  ph.wire += (x.complete - from) - x.reg_cost;
+}
 }  // namespace
 
 // Completion state shared by every copy of an IoHandle.
@@ -439,12 +469,7 @@ void Client::stage_write_back(const OpenFile& file,
                               const core::ListIoRequest& req, TimePoint start,
                               const IoCallback& done) {
   const Handle h = file.meta.handle;
-  std::vector<std::byte> bytes;
-  bytes.reserve(req.bytes());
-  for (const core::MemSegment& m : req.mem) {
-    const std::span<const std::byte> sp = as_.readable_span(m.addr, m.length);
-    bytes.insert(bytes.end(), sp.begin(), sp.end());
-  }
+  const std::vector<std::byte> bytes = gather(as_, req.mem);
   const TimePoint s = max(start, engine_.now());
   ccache_.stage_dirty(h, file.meta.stripe_size, file.meta.iod_count, req.file,
                       bytes, s);
@@ -521,13 +546,6 @@ void Client::cache_op_complete(OpState& op) {
     std::map<u32, u64> done_seq;
     for (u32 s : op.stripes) done_seq[s] = auth.bump_data_seq(h, s);
     if (op.wb_flush) return;  // flush_applied re-tags the dirty entries
-    std::vector<std::byte> bytes;
-    bytes.reserve(op.total_bytes);
-    for (const core::MemSegment& m : op.creq.mem) {
-      const std::span<const std::byte> sp =
-          as_.readable_span(m.addr, m.length);
-      bytes.insert(bytes.end(), sp.begin(), sp.end());
-    }
     const auto tags = [&](u32 stripe, u64* seq, u64* version) {
       const auto it = done_seq.find(stripe);
       *seq = it != done_seq.end() ? it->second : auth.data_seq(h, stripe);
@@ -535,7 +553,7 @@ void Client::cache_op_complete(OpState& op) {
       *version = v.known ? v.latest : 0;
     };
     ccache_.insert_clean(h, op.file.meta.stripe_size, op.file.meta.iod_count,
-                         op.creq.file, bytes, tags);
+                         op.creq.file, gather(as_, op.creq.mem), tags);
     return;
   }
   if (ccache_.write_back() && ccache_.has_dirty(h)) {
@@ -575,12 +593,6 @@ void Client::cache_op_complete(OpState& op) {
     // entry would only be dropped at its first lookup anyway.
     if (auth.data_seq(h, s) != op.cache_seq[s]) return;
   }
-  std::vector<std::byte> bytes;
-  bytes.reserve(op.total_bytes);
-  for (const core::MemSegment& m : op.creq.mem) {
-    const std::span<const std::byte> sp = as_.readable_span(m.addr, m.length);
-    bytes.insert(bytes.end(), sp.begin(), sp.end());
-  }
   const auto tags = [&](u32 stripe, u64* seq, u64* version) {
     const auto it = op.cache_seq.find(stripe);
     *seq = it != op.cache_seq.end() ? it->second : 0;
@@ -588,7 +600,7 @@ void Client::cache_op_complete(OpState& op) {
     *version = vt != op.serve_ver.end() ? vt->second : 0;
   };
   ccache_.insert_clean(h, op.file.meta.stripe_size, op.file.meta.iod_count,
-                       op.creq.file, bytes, tags);
+                       op.creq.file, gather(as_, op.creq.mem), tags);
 }
 
 IoResult Client::flush(const OpenFile& file) {
@@ -688,7 +700,12 @@ void Client::maybe_read_repair(std::shared_ptr<OpState> op, u32 iod_idx,
     // stale now; drop it eagerly instead of waiting for a hit-time check.
     ccache_.note_version(op->file.meta.handle, stripe, serving_version);
   }
-  if (serving_version == 0 || !cfg_.replication.read_repair) return;
+  if (serving_version == 0) return;
+  // Read-repair: every replica whose recorded version trails the one just
+  // served gets an async repair write of the bytes just read. That heals
+  // content opportunistically, but only write acks and resync mark a
+  // replica current in the staleness map: a repair covers one round's byte
+  // range, not necessarily everything its version covers.
   const Manager::StripeVersionView v =
       authority.stripe_versions(op->file.meta.handle, stripe);
   for (u32 rep = 0; rep < set.size(); ++rep) {
@@ -706,17 +723,11 @@ void Client::schedule_repair_write(std::shared_ptr<OpState> op, u32 iod_idx,
   const Round& r = op->rounds[iod_idx][round_idx];
   const u32 target = op->replica_sets[iod_idx][rep];
   const Handle lh =
-      rep == 0 ? op->file.meta.handle
-               : backup_handle(op->file.meta.handle, op->stripes[iod_idx]);
+      local_handle(op->file.meta.handle, op->stripes[iod_idx], rep);
   // Snapshot the just-read bytes now: the op's buffers belong to the
   // caller and may be rewritten the moment the read completes. The repair
   // stream is round-shaped (matches r.accesses in order).
-  auto data = std::make_shared<std::vector<std::byte>>();
-  data->reserve(r.bytes);
-  for (const core::MemSegment& m : r.mem) {
-    const std::span<const std::byte> s = as_.readable_span(m.addr, m.length);
-    data->insert(data->end(), s.begin(), s.end());
-  }
+  auto data = std::make_shared<std::vector<std::byte>>(gather(as_, r.mem));
   // Analytical background transfer: pack copy, then the wire at the resync
   // rate cap. Serialized per target iod so repair traffic never bursts.
   const double bw =
@@ -775,15 +786,8 @@ bool Client::lost_write_detected(std::shared_ptr<OpState> op, u32 iod_idx,
                                  size_t round_idx,
                                  std::shared_ptr<RoundTry> tr,
                                  u64 serving_version, TimePoint t) {
-  if (tr == nullptr || op->is_write || !op->replicated ||
-      !cfg_.replication.read_failover) {
-    return false;
-  }
-  const std::vector<u32>& set = op->replica_sets[iod_idx];
-  const u32 nrep = static_cast<u32>(set.size());
-  if (nrep <= 1 || tr->failovers + 1 >= nrep) return false;
-  OpState::Chain& ch = op->chains[iod_idx];
-  const u32 serving = ch.replica;
+  if (tr == nullptr || !can_fail_over(*op, iod_idx, *tr)) return false;
+  const u32 serving = op->chains[iod_idx].replica;
   const u32 stripe = op->stripes[iod_idx];
   Manager& authority = meta_.authority(op->file.meta.handle);
   const Manager::StripeVersionView v =
@@ -795,41 +799,21 @@ bool Client::lost_write_detected(std::shared_ptr<OpState> op, u32 iod_idx,
       v.replica_versions[serving] < v.latest || serving_version >= v.latest) {
     return false;
   }
-  // This settle context still owns the attempt's armed timer; the re-issue
-  // arms a fresh one, so the old must be cancelled first (arm_round_timer
-  // overwrites the id without cancelling).
-  if (tr->timer_armed) {
-    engine_.cancel(tr->timer_id);
-    tr->timer_armed = false;
-  }
-  authority.note_replica_observed(op->file.meta.handle, stripe, set[serving],
-                                  serving_version);
-  if (stats_ != nullptr) {
-    stats_->add(stat::kPvfsCorruptionsDetected);
-    stats_->add(stat::kPvfsCorruptReadsFailedOver);
-    stats_->add(stat::kPvfsFailovers);
-  }
-  u32 next = (serving + 1) % nrep;
-  for (u32 i = 1; i <= nrep; ++i) {
-    const u32 cand = (serving + i) % nrep;
-    if (cand != serving && !(faulty() && faults_->iod_down(set[cand], t))) {
-      next = cand;
-      break;
+  fail_over(op, iod_idx, round_idx, tr, t, [&](u32 from_iod, u32 to_iod) {
+    authority.note_replica_observed(op->file.meta.handle, stripe, from_iod,
+                                    serving_version);
+    if (stats_ != nullptr) {
+      stats_->add(stat::kPvfsCorruptionsDetected);
+      stats_->add(stat::kPvfsCorruptReadsFailedOver);
     }
-  }
-  sim::Trace::instance().emitf(
-      t, hca_.name(),
-      "read round %zu: iod%u header v%llu but acked v%llu (LOST WRITE), "
-      "failing over to iod%u",
-      round_idx + 1, set[serving],
-      static_cast<unsigned long long>(serving_version),
-      static_cast<unsigned long long>(v.replica_versions[serving]),
-      set[next]);
-  ch.replica = next;
-  ++tr->failovers;
-  tr->budget_base = tr->attempts;
-  ++tr->attempts;
-  run_read_round(op, iod_idx, round_idx, t, tr);
+    sim::Trace::instance().emitf(
+        t, hca_.name(),
+        "read round %zu: iod%u header v%llu but acked v%llu (LOST WRITE), "
+        "failing over to iod%u",
+        round_idx + 1, from_iod,
+        static_cast<unsigned long long>(serving_version),
+        static_cast<unsigned long long>(v.replica_versions[serving]), to_iod);
+  });
   return true;
 }
 
@@ -905,11 +889,7 @@ void Client::issue_round(std::shared_ptr<OpState> op, u32 iod_idx,
       tr->epoch = authority.epoch();
     }
   }
-  if (op->is_write) {
-    run_write_round(op, iod_idx, round_idx, t, std::move(tr));
-  } else {
-    run_read_round(op, iod_idx, round_idx, t, std::move(tr));
-  }
+  run_round(std::move(op), iod_idx, round_idx, t, std::move(tr));
 }
 
 void Client::wire_cleared(std::shared_ptr<OpState> op, u32 iod_idx,
@@ -1013,16 +993,19 @@ void Client::arm_round_timer(std::shared_ptr<OpState> op, u32 iod_idx,
       });
 }
 
+void Client::disarm_timer(RoundTry& tr) {
+  if (!tr.timer_armed) return;
+  engine_.cancel(tr.timer_id);
+  tr.timer_armed = false;
+}
+
 void Client::settle_round(std::shared_ptr<OpState> op, u32 iod_idx,
                           size_t round_idx, std::shared_ptr<RoundTry> tr,
                           TimePoint t, Status status) {
   if (tr != nullptr) {
     if (tr->settled) return;  // a concurrent attempt already settled it
     tr->settled = true;
-    if (tr->timer_armed) {
-      engine_.cancel(tr->timer_id);
-      tr->timer_armed = false;
-    }
+    disarm_timer(*tr);
     op->retries += tr->attempts - 1;
     op->failovers += tr->failovers;
     if (faulty()) {
@@ -1039,60 +1022,31 @@ void Client::settle_round(std::shared_ptr<OpState> op, u32 iod_idx,
   round_done(op, iod_idx, round_idx, t, std::move(status));
 }
 
-void Client::fail_round(std::shared_ptr<OpState> op, u32 iod_idx,
-                        size_t round_idx, std::shared_ptr<RoundTry> tr,
-                        TimePoint t, Status why) {
-  if (tr != nullptr) {
-    retry_or_fail(op, iod_idx, round_idx, tr, t, std::move(why));
-  } else {
-    round_done(op, iod_idx, round_idx, t, std::move(why));
-  }
-}
-
 void Client::retry_or_fail(std::shared_ptr<OpState> op, u32 iod_idx,
                            size_t round_idx, std::shared_ptr<RoundTry> tr,
                            TimePoint t, Status why) {
-  if (tr->settled) return;
-  if (tr->timer_armed) {
-    engine_.cancel(tr->timer_id);
-    tr->timer_armed = false;
+  if (tr == nullptr) {
+    settle_round(op, iod_idx, round_idx, tr, t, std::move(why));
+    return;
   }
+  if (tr->settled) return;
+  disarm_timer(*tr);
   if (why.code() == ErrorCode::kCorrupt && !op->is_write) {
     // The serving replica's bytes failed checksum verification. Retrying
     // the same copy is pointless (the bytes are what they are): flag it
     // with the staleness map — it becomes a resync target and placement
     // stops routing to it — and fail the chain over to another replica.
-    const std::vector<u32>& set = op->replica_sets[iod_idx];
-    const u32 nrep = static_cast<u32>(set.size());
-    OpState::Chain& ch = op->chains[iod_idx];
     meta_.authority(op->file.meta.handle)
         .note_replica_corrupt(op->file.meta.handle, op->stripes[iod_idx],
-                              set[ch.replica]);
-    if (op->replicated && cfg_.replication.read_failover &&
-        tr->failovers + 1 < nrep) {
-      u32 next = (ch.replica + 1) % nrep;
-      for (u32 i = 1; i <= nrep; ++i) {
-        const u32 cand = (ch.replica + i) % nrep;
-        if (cand != ch.replica &&
-            !(faulty() && faults_->iod_down(set[cand], t))) {
-          next = cand;
-          break;
-        }
-      }
-      const u32 from_iod = set[ch.replica];
-      ch.replica = next;
-      ++tr->failovers;
-      tr->budget_base = tr->attempts;
-      ++tr->attempts;
-      if (stats_ != nullptr) {
-        stats_->add(stat::kPvfsCorruptReadsFailedOver);
-        stats_->add(stat::kPvfsFailovers);
-      }
-      sim::Trace::instance().emitf(
-          t, hca_.name(),
-          "read round %zu: iod%u corrupt, failing over to iod%u",
-          round_idx + 1, from_iod, set[next]);
-      run_read_round(op, iod_idx, round_idx, t, tr);
+                              current_target(*op, iod_idx));
+    if (can_fail_over(*op, iod_idx, *tr)) {
+      fail_over(op, iod_idx, round_idx, tr, t, [&](u32 from_iod, u32 to_iod) {
+        if (stats_ != nullptr) stats_->add(stat::kPvfsCorruptReadsFailedOver);
+        sim::Trace::instance().emitf(
+            t, hca_.name(),
+            "read round %zu: iod%u corrupt, failing over to iod%u",
+            round_idx + 1, from_iod, to_iod);
+      });
       return;
     }
     // No replica left to serve intact bytes: terminal.
@@ -1113,40 +1067,19 @@ void Client::retry_or_fail(std::shared_ptr<OpState> op, u32 iod_idx,
   // The budget counts attempts since the last failover: a fresh replica
   // deserves a fresh budget.
   if (tr->attempts - 1 - tr->budget_base >= fc.max_retries) {
-    const std::vector<u32>& set = op->replica_sets[iod_idx];
-    const u32 nrep = static_cast<u32>(set.size());
-    if (!op->is_write && op->replicated && cfg_.replication.read_failover &&
-        tr->failovers + 1 < nrep) {
-      // Read failover: the serving replica exhausted its budget; re-route
-      // this round — and the chain's remaining rounds — to the next live
-      // replica (falling back to plain rotation if all look down).
-      OpState::Chain& ch = op->chains[iod_idx];
-      u32 next = (ch.replica + 1) % nrep;
-      for (u32 i = 1; i <= nrep; ++i) {
-        const u32 cand = (ch.replica + i) % nrep;
-        if (cand != ch.replica && !faults_->iod_down(set[cand], t)) {
-          next = cand;
-          break;
-        }
-      }
-      const u32 from_iod = set[ch.replica];
-      ch.replica = next;
-      ++tr->failovers;
-      tr->budget_base = tr->attempts;
-      ++tr->attempts;
-      if (stats_ != nullptr) {
-        stats_->add(stat::kPvfsFailovers);
-        stats_->add(stat::kPvfsRetries);
-      }
-      sim::Trace::instance().emitf(
-          t, hca_.name(), "read round %zu failing over iod%u -> iod%u",
-          round_idx + 1, from_iod, set[next]);
-      // The new replica is presumed healthy: re-issue immediately.
-      run_read_round(op, iod_idx, round_idx, t, tr);
+    if (can_fail_over(*op, iod_idx, *tr)) {
+      // The serving replica exhausted its budget; the next one is presumed
+      // healthy, so the round re-issues immediately.
+      fail_over(op, iod_idx, round_idx, tr, t, [&](u32 from_iod, u32 to_iod) {
+        if (stats_ != nullptr) stats_->add(stat::kPvfsRetries);
+        sim::Trace::instance().emitf(
+            t, hca_.name(), "read round %zu failing over iod%u -> iod%u",
+            round_idx + 1, from_iod, to_iod);
+      });
       return;
     }
-    if (!op->is_write && op->replicated && cfg_.replication.read_failover &&
-        nrep > 1) {
+    const u32 nrep = static_cast<u32>(op->replica_sets[iod_idx].size());
+    if (!op->is_write && op->replicated && nrep > 1) {
       // Failover ran out of replicas: every member of the chain burned a
       // full retry budget. Distinct terminal status so callers can tell
       // "the whole chain is gone" from a single overloaded server.
@@ -1165,14 +1098,10 @@ void Client::retry_or_fail(std::shared_ptr<OpState> op, u32 iod_idx,
     return;
   }
   if (stats_ != nullptr) stats_->add(stat::kPvfsRetries);
-  // Exponential backoff, capped: base * mult^(retry - 1), the exponent
-  // restarting with the budget at each failover.
-  Duration backoff = fc.backoff_base;
-  for (u32 i = 1; i < tr->attempts - tr->budget_base && backoff < fc.backoff_cap;
-       ++i) {
-    backoff = backoff * fc.backoff_mult;
-  }
-  backoff = min(backoff, fc.backoff_cap);
+  // The backoff exponent restarts with the budget at each failover.
+  const Duration backoff =
+      capped_backoff(fc.backoff_base, fc.backoff_mult, fc.backoff_cap,
+                     tr->attempts - tr->budget_base);
   ++tr->attempts;
   if (sim::Trace::instance().enabled()) {
     sim::Trace::instance().emitf(
@@ -1182,30 +1111,109 @@ void Client::retry_or_fail(std::shared_ptr<OpState> op, u32 iod_idx,
   }
   engine_.schedule_at(t + backoff, [this, op, iod_idx, round_idx, tr] {
     if (tr->settled) return;
-    if (op->is_write) {
-      run_write_round(op, iod_idx, round_idx, engine_.now(), tr);
-    } else {
-      run_read_round(op, iod_idx, round_idx, engine_.now(), tr);
-    }
+    run_round(op, iod_idx, round_idx, engine_.now(), tr);
   });
 }
 
-// --- Write rounds --------------------------------------------------------
+bool Client::can_fail_over(const OpState& op, u32 iod_idx,
+                           const RoundTry& tr) const {
+  return !op.is_write && op.replicated &&
+         tr.failovers + 1 < op.replica_sets[iod_idx].size();
+}
 
-void Client::run_write_round(std::shared_ptr<OpState> op, u32 iod_idx,
-                             size_t round_idx, TimePoint t0,
-                             std::shared_ptr<RoundTry> tr) {
-  if (tr != nullptr && faulty()) arm_round_timer(op, iod_idx, round_idx, tr, t0);
-  if (tr != nullptr) tr->last_issue = t0;
-  t0 += cfg_.pvfs.client_request_cpu;
+void Client::fail_over(std::shared_ptr<OpState> op, u32 iod_idx,
+                       size_t round_idx, std::shared_ptr<RoundTry> tr,
+                       TimePoint t,
+                       const std::function<void(u32, u32)>& note) {
+  assert(can_fail_over(*op, iod_idx, *tr));
+  disarm_timer(*tr);  // the re-issue arms a fresh one
+  const std::vector<u32>& set = op->replica_sets[iod_idx];
+  const u32 nrep = static_cast<u32>(set.size());
+  OpState::Chain& ch = op->chains[iod_idx];
+  u32 next = (ch.replica + 1) % nrep;
+  for (u32 i = 1; i <= nrep; ++i) {
+    const u32 cand = (ch.replica + i) % nrep;
+    if (cand != ch.replica && !(faulty() && faults_->iod_down(set[cand], t))) {
+      next = cand;
+      break;
+    }
+  }
+  const u32 from_iod = set[ch.replica];
+  ch.replica = next;
+  ++tr->failovers;
+  tr->budget_base = tr->attempts;
+  ++tr->attempts;
+  if (stats_ != nullptr) stats_->add(stat::kPvfsFailovers);
+  note(from_iod, set[next]);
+  run_round(op, iod_idx, round_idx, t, tr);
+}
+
+// --- Attempts --------------------------------------------------------------
+
+void Client::run_round(std::shared_ptr<OpState> op, u32 iod_idx,
+                       size_t round_idx, TimePoint t,
+                       std::shared_ptr<RoundTry> tr) {
+  if (tr != nullptr) {
+    if (faulty()) arm_round_timer(op, iod_idx, round_idx, tr, t);
+    tr->last_issue = t;
+  }
+  t += cfg_.pvfs.client_request_cpu;
+  if (!op->is_write) {
+    run_read_round(std::move(op), iod_idx, round_idx, t, std::move(tr));
+    return;
+  }
   const u32 nrep = static_cast<u32>(op->replica_sets[iod_idx].size());
   for (u32 rep = 0; rep < nrep; ++rep) {
     // Replays only re-fan to replicas that never acked; the acked ones
     // already hold (and applied) the data.
     if (tr != nullptr && tr->acked[rep]) continue;
-    run_write_replica(op, iod_idx, round_idx, rep, t0, tr);
+    run_write_replica(op, iod_idx, round_idx, rep, t, tr);
   }
 }
+
+Client::SentRequest Client::send_request(const OpState& op, u32 iod_idx,
+                                         size_t round_idx, u32 rep,
+                                         const RoundTry* tr, TimePoint t) {
+  const Round& r = op.rounds[iod_idx][round_idx];
+  SentRequest out;
+  out.iod_id = op.replica_sets[iod_idx][rep];
+  RoundRequest& rr = out.rr;
+  // A backup copy lives under the stripe's shadow handle and in its own
+  // staging-slot region: the target iod also serves a neighbour stripe's
+  // primary chain for this client, and the two must not share local files,
+  // staging buffers, or the (client, slot) replay-dedupe log.
+  rr.handle = local_handle(op.file.meta.handle, op.stripes[iod_idx], rep);
+  rr.client = id_;
+  rr.slot = rep * op.window + static_cast<u32>(round_idx % op.window);
+  if (tr != nullptr) {
+    rr.round_seq = tr->seq;
+    rr.version = tr->version;
+    rr.epoch = tr->epoch;
+    // Partial-round restart: an earlier attempt's payload already landed
+    // in this replica's staging slot (and was applied — data arrival and
+    // the disk phase are atomic at the iod), so the replay carries no data
+    // phase; the iod dedupes it by round_seq and just acks.
+    rr.data_staged = rep < tr->data_landed.size() && tr->data_landed[rep];
+  }
+  rr.is_write = op.is_write;
+  rr.sync = op.opts.sync;
+  rr.use_ads = op.opts.use_ads;
+  rr.accesses = r.accesses;
+  if (stats_ != nullptr) stats_->add(stat::kPvfsRequest);
+  const u64 req_bytes =
+      cfg_.pvfs.request_msg_bytes +
+      r.accesses.size() * cfg_.pvfs.list_pair_wire_bytes;
+  out.arrive = fabric_.send_control(hca_, iods_[out.iod_id]->hca(), req_bytes,
+                                    t, ib::ControlKind::kRequest);
+  // Fault plane: the request may vanish (random drop, scheduled drop, or
+  // a crashed iod). The wire time was spent; nothing downstream happens
+  // and the round timer drives the replay.
+  out.lost = tr != nullptr && faulty() &&
+             faults_->request_lost(out.iod_id, out.arrive);
+  return out;
+}
+
+// --- Write rounds --------------------------------------------------------
 
 void Client::write_replica_done(std::shared_ptr<OpState> op, u32 iod_idx,
                                 size_t round_idx, u32 rep,
@@ -1229,10 +1237,7 @@ void Client::write_replica_done(std::shared_ptr<OpState> op, u32 iod_idx,
     // acked without re-running the disk phase — the header would never
     // move. A fresh seq also means the staged-payload shortcut no longer
     // applies (the replay carries data again), so data_landed resets too.
-    if (tr->timer_armed) {
-      engine_.cancel(tr->timer_id);
-      tr->timer_armed = false;
-    }
+    disarm_timer(*tr);
     Manager& authority = meta_.authority(op->file.meta.handle);
     tr->version = authority.allocate_stripe_version(op->file.meta.handle,
                                                     op->stripes[iod_idx]);
@@ -1253,7 +1258,7 @@ void Client::write_replica_done(std::shared_ptr<OpState> op, u32 iod_idx,
         "(epoch %llu) and replaying",
         round_idx + 1, static_cast<unsigned long long>(tr->version),
         static_cast<unsigned long long>(tr->epoch));
-    run_write_round(op, iod_idx, round_idx, t, tr);
+    run_round(op, iod_idx, round_idx, t, tr);
     return;
   }
   if (tr->acked[rep]) return;  // duplicate ack of one replica
@@ -1293,126 +1298,70 @@ void Client::run_write_replica(std::shared_ptr<OpState> op, u32 iod_idx,
                                size_t round_idx, u32 rep, TimePoint t0,
                                std::shared_ptr<RoundTry> tr) {
   const Round& r = op->rounds[iod_idx][round_idx];
-  const u32 iod_id = op->replica_sets[iod_idx][rep];
+  SentRequest req = send_request(*op, iod_idx, round_idx, rep, tr.get(), t0);
+  const u32 iod_id = req.iod_id;
+  const TimePoint t_req = req.arrive;
+  const bool staged = req.rr.data_staged;
   Iod& iod = *iods_[iod_id];
+  if (stats_ != nullptr && rep > 0) stats_->add(stat::kPvfsReplicaWrites);
 
-  RoundRequest rr;
-  // A backup copy lives under the stripe's shadow handle and in its own
-  // staging-slot region: the target iod also serves a neighbour stripe's
-  // primary chain for this client, and the two must not share local files,
-  // staging buffers, or the (client, slot) replay-dedupe log.
-  rr.handle = rep == 0
-                  ? op->file.meta.handle
-                  : backup_handle(op->file.meta.handle, op->stripes[iod_idx]);
-  rr.client = id_;
-  rr.slot = rep * op->window + static_cast<u32>(round_idx % op->window);
-  rr.round_seq = tr != nullptr ? tr->seq : 0;
-  rr.version = tr != nullptr ? tr->version : 0;
-  rr.epoch = tr != nullptr ? tr->epoch : 0;
-  rr.is_write = true;
-  rr.sync = op->opts.sync;
-  rr.use_ads = op->opts.use_ads;
-  rr.accesses = r.accesses;
-  // Partial-round restart: an earlier attempt's payload already landed in
-  // this replica's staging slot (and was applied — data arrival and the
-  // disk phase are atomic at the iod), so the replay carries no data
-  // phase; the iod dedupes it by round_seq and just acks.
-  const bool staged =
-      tr != nullptr && rep < tr->data_landed.size() && tr->data_landed[rep];
-  rr.data_staged = staged;
-
-  if (stats_ != nullptr) {
-    stats_->add(stat::kPvfsRequest);
-    if (rep > 0) stats_->add(stat::kPvfsReplicaWrites);
-  }
-  const u64 req_bytes =
-      cfg_.pvfs.request_msg_bytes +
-      r.accesses.size() * cfg_.pvfs.list_pair_wire_bytes;
-  const TimePoint t_req = fabric_.send_control(hca_, iod.hca(), req_bytes, t0,
-                                               ib::ControlKind::kRequest);
-  // Fault plane: the request may vanish (random drop, scheduled drop, or
-  // a crashed iod). The wire time was spent; nothing downstream happens
-  // and the round timer drives the replay.
-  const bool req_lost =
-      tr != nullptr && faulty() && faults_->request_lost(iod_id, t_req);
-
-  TimePoint data_ready;
+  const bool eager =
+      !staged && fast_rdma(cfg_.pvfs, op->opts.policy, r.bytes);
   if (staged) {
     if (stats_ != nullptr) stats_->add(stat::kPvfsPartialRestarts);
     sim::Trace::instance().emitf(
         t0, hca_.name(),
         "-> iod%u write round %zu replay, payload staged (wire skipped)",
         iod_id, round_idx + 1);
-    if (req_lost) {
-      sim::Trace::instance().emitf(t_req, hca_.name(),
-                                   "-> iod%u round %zu request lost", iod_id,
-                                   round_idx + 1);
-      return;
-    }
-    data_ready = t_req;
   } else {
-    const auto& pol = op->opts.policy;
-    const bool eager =
-        r.bytes <= cfg_.pvfs.fast_rdma_threshold &&
-        (pol.scheme == core::XferScheme::kHybrid ||
-         pol.scheme == core::XferScheme::kPackUnpack);
     sim::Trace::instance().emitf(
         t0, hca_.name(), "-> iod%u write round %zu/%zu: %zu pairs, %llu B (%s)",
         iod_id, round_idx + 1, op->rounds[iod_idx].size(),
         r.accesses.size(), static_cast<unsigned long long>(r.bytes),
         eager ? "fast-rdma eager" : "rendezvous");
-    if (req_lost && !eager) {
-      // Rendezvous: the iod never saw the request, so no ack ever comes.
-      sim::Trace::instance().emitf(t_req, hca_.name(),
-                                   "-> iod%u round %zu request lost", iod_id,
-                                   round_idx + 1);
-      return;
-    }
-
-    core::TransferOutcome push;
-    TimePoint push_start;
-    if (eager) {
-      // Fast RDMA: pack into the pre-registered bounce buffer and write it
-      // into the iod's staging buffer alongside the request.
-      core::TransferPolicy p = pol;
-      p.scheme = core::XferScheme::kPackUnpack;
-      p.pack_preregistered = true;
-      push = xfer_.push(ep_, r.mem, iod.staging(id_, rr.slot), t0, p);
-      push_start = t0;
-      data_ready = max(push.complete, t_req);
-      if (req_lost) {
-        // The eager data rode along with the lost request; the client still
-        // paid for the push but the iod never services the round.
-        if (push.ok()) {
-          op->phases.registration += push.reg_cost;
-          op->phases.wire += (push.complete - push_start) - push.reg_cost;
-        }
-        sim::Trace::instance().emitf(t_req, hca_.name(),
-                                     "-> iod%u round %zu request lost", iod_id,
-                                     round_idx + 1);
-        return;
-      }
-    } else {
-      // Rendezvous: the iod acknowledges buffer availability, then the client
-      // pushes with the configured scheme.
-      const TimePoint ack = fabric_.send_control(
+  }
+  TimePoint data_ready = t_req;
+  core::TransferOutcome push;
+  TimePoint push_start = t0;
+  if (eager) {
+    // Fast RDMA: pack into the pre-registered bounce buffer and write it
+    // into the iod's staging buffer alongside the request.
+    core::TransferPolicy p = op->opts.policy;
+    p.scheme = core::XferScheme::kPackUnpack;
+    p.pack_preregistered = true;
+    push = xfer_.push(ep_, r.mem, iod.staging(id_, req.rr.slot), t0, p);
+    data_ready = max(push.complete, t_req);
+  }
+  if (req.lost) {
+    // The iod never saw the request, so no ack ever comes. Eager data rode
+    // along with it: the client still paid for that push.
+    if (eager) charge_transfer(op->phases, push, push_start);
+    sim::Trace::instance().emitf(t_req, hca_.name(),
+                                 "-> iod%u round %zu request lost", iod_id,
+                                 round_idx + 1);
+    return;
+  }
+  if (!staged) {
+    if (!eager) {
+      // Rendezvous: the iod acknowledges buffer availability, then the
+      // client pushes with the configured scheme.
+      push_start = fabric_.send_control(
           iod.hca(), hca_, cfg_.pvfs.reply_msg_bytes,
           t_req + cfg_.pvfs.iod_request_cpu, ib::ControlKind::kReply);
-      push = xfer_.push(ep_, r.mem, iod.staging(id_, rr.slot), ack, pol);
-      push_start = ack;
+      push = xfer_.push(ep_, r.mem, iod.staging(id_, req.rr.slot), push_start,
+                        op->opts.policy);
       data_ready = push.complete;
     }
     if (!push.ok()) {
-      fail_round(op, iod_idx, round_idx, tr, data_ready, push.status);
+      retry_or_fail(op, iod_idx, round_idx, tr, data_ready, push.status);
       return;
     }
-    op->phases.registration += push.reg_cost;
-    op->phases.wire += (push.complete - push_start) - push.reg_cost;
+    charge_transfer(op->phases, push, push_start);
   }
 
   // Server disk phase begins when the data has landed.
   engine_.schedule_at(data_ready, [this, op, iod_idx, round_idx, rep, tr,
-                                   rr = std::move(rr), &iod, iod_id,
+                                   rr = std::move(req.rr), &iod, iod_id,
                                    data_ready] {
     if (tr != nullptr && faulty() && faults_->iod_down(iod_id, data_ready)) {
       // The iod crashed between accepting the request and the data
@@ -1483,36 +1432,9 @@ void Client::run_write_replica(std::shared_ptr<OpState> op, u32 iod_idx,
 void Client::run_read_round(std::shared_ptr<OpState> op, u32 iod_idx,
                             size_t round_idx, TimePoint t0,
                             std::shared_ptr<RoundTry> tr) {
-  if (tr != nullptr) arm_round_timer(op, iod_idx, round_idx, tr, t0);
-  if (tr != nullptr) tr->last_issue = t0;
-  t0 += cfg_.pvfs.client_request_cpu;
   const Round& r = op->rounds[iod_idx][round_idx];
-  // Reads are served by whichever replica the chain currently points at
-  // (the primary until a failover moves it).
-  const u32 iod_id = current_target(*op, iod_idx);
-  Iod& iod = *iods_[iod_id];
-
-  const u32 replica = op->chains[iod_idx].replica;
-  RoundRequest rr;
-  // After a failover the backup serves the stripe from its shadow-handle
-  // local file, through its own staging-slot region (the backup iod's
-  // primary-chain slots for this client belong to a different stripe).
-  rr.handle = replica == 0
-                  ? op->file.meta.handle
-                  : backup_handle(op->file.meta.handle, op->stripes[iod_idx]);
-  rr.client = id_;
-  rr.slot = replica * op->window + static_cast<u32>(round_idx % op->window);
-  rr.round_seq = tr != nullptr ? tr->seq : 0;
-  rr.is_write = false;
-  rr.sync = op->opts.sync;
-  rr.use_ads = op->opts.use_ads;
-  rr.accesses = r.accesses;
-
   const auto& pol = op->opts.policy;
-  const bool fast =
-      r.bytes <= cfg_.pvfs.fast_rdma_threshold &&
-      (pol.scheme == core::XferScheme::kHybrid ||
-       pol.scheme == core::XferScheme::kPackUnpack);
+  const bool fast = fast_rdma(cfg_.pvfs, pol, r.bytes);
   const bool direct =
       !fast && op->opts.direct_read_return && r.mem.size() == 1 &&
       (pol.scheme == core::XferScheme::kHybrid ||
@@ -1532,7 +1454,7 @@ void Client::run_read_round(std::shared_ptr<OpState> op, u32 iod_idx,
     // Pin the single destination buffer and ship its rkey in the request.
     ib::MrCache::Lookup lk = cache_.acquire(r.mem[0].addr, r.mem[0].length);
     if (!lk.ok()) {
-      fail_round(op, iod_idx, round_idx, tr, t_client, lk.status);
+      retry_or_fail(op, iod_idx, round_idx, tr, t_client, lk.status);
       return;
     }
     t_client += lk.cost;
@@ -1542,13 +1464,16 @@ void Client::run_read_round(std::shared_ptr<OpState> op, u32 iod_idx,
     release_key = lk.key;
   }
 
-  if (stats_ != nullptr) stats_->add(stat::kPvfsRequest);
-  const u64 req_bytes =
-      cfg_.pvfs.request_msg_bytes +
-      r.accesses.size() * cfg_.pvfs.list_pair_wire_bytes;
-  const TimePoint t_req = fabric_.send_control(
-      hca_, iod.hca(), req_bytes, t_client, ib::ControlKind::kRequest);
-  if (tr != nullptr && faults_->request_lost(iod_id, t_req)) {
+  // Reads are served by whichever replica the chain currently points at
+  // (the primary until a failover moves it); a backup serves from its
+  // shadow-handle local file through its own staging-slot region.
+  SentRequest req = send_request(*op, iod_idx, round_idx,
+                                 op->chains[iod_idx].replica, tr.get(),
+                                 t_client);
+  const u32 iod_id = req.iod_id;
+  const TimePoint t_req = req.arrive;
+  Iod& iod = *iods_[iod_id];
+  if (req.lost) {
     // The iod never sees the read round; the timer drives the replay,
     // which pins its own destination key.
     if (release_key != 0) cache_.release(release_key);
@@ -1559,15 +1484,15 @@ void Client::run_read_round(std::shared_ptr<OpState> op, u32 iod_idx,
   }
 
   engine_.schedule_at(t_req, [this, op, iod_idx, round_idx, tr,
-                              rr = std::move(rr), &iod, iod_id, t_req, path,
-                              dest, rkey, release_key,
+                              rr = std::move(req.rr), &iod, iod_id, t_req,
+                              path, dest, rkey, release_key,
                               r = &op->rounds[iod_idx][round_idx]] {
     const TimePoint t_svc = t_req + cfg_.pvfs.iod_request_cpu;
     Iod::ReadService svc = iod.read_round(rr, t_svc, path, &hca_, dest, rkey);
     if (stats_ != nullptr) stats_->add(stat::kPvfsReply);
     if (!svc.ok()) {
       if (release_key != 0) cache_.release(release_key);
-      fail_round(op, iod_idx, round_idx, tr, svc.ready, svc.status);
+      retry_or_fail(op, iod_idx, round_idx, tr, svc.ready, svc.status);
       return;
     }
     if (tr != nullptr && faults_->reply_lost(iod_id, svc.ready)) {
@@ -1620,17 +1545,14 @@ void Client::run_read_round(std::shared_ptr<OpState> op, u32 iod_idx,
           core::TransferOutcome pull =
               xfer_.pull(ep_, r->mem, iod.staging(id_, slot), ack,
                          op->opts.policy);
-          if (pull.ok()) {
-            op->phases.registration += pull.reg_cost;
-            op->phases.wire += (pull.complete - ack) - pull.reg_cost;
-          }
+          charge_transfer(op->phases, pull, ack);
           const TimePoint t_done = pull.complete;
           engine_.schedule_at(t_done, [this, op, iod_idx, round_idx, tr,
                                        t_done, st = pull.status, ver] {
             if (st.is_ok()) {
               finish_read_round(op, iod_idx, round_idx, tr, ver, t_done);
             } else {
-              fail_round(op, iod_idx, round_idx, tr, t_done, st);
+              retry_or_fail(op, iod_idx, round_idx, tr, t_done, st);
             }
           });
         });

@@ -77,10 +77,6 @@ struct IoOptions {
     sync = v;
     return *this;
   }
-  IoOptions& with_ads(bool v = true) {
-    use_ads = v;
-    return *this;
-  }
   IoOptions& with_policy(const core::TransferPolicy& p) {
     policy = p;
     policy_explicit = true;
@@ -89,10 +85,6 @@ struct IoOptions {
   IoOptions& with_scheme(core::XferScheme s) {
     policy.scheme = s;
     policy_explicit = true;
-    return *this;
-  }
-  IoOptions& with_direct_read_return(bool v = true) {
-    direct_read_return = v;
     return *this;
   }
   IoOptions& with_allocation_hint(u64 addr, u64 len) {
@@ -234,9 +226,6 @@ class Client {
   void set_default_policy(std::optional<core::TransferPolicy> p) {
     default_policy_ = std::move(p);
   }
-  const std::optional<core::TransferPolicy>& default_policy() const {
-    return default_policy_;
-  }
 
   // The metadata routing facade (shard map cache, redirects, version-plane
   // authority selection). Exposed for tests and tooling that poke at the
@@ -261,9 +250,6 @@ class Client {
   // The client's process state.
   vmem::AddressSpace& memory() { return as_; }
   ib::Hca& hca() { return hca_; }
-  ib::MrCache& cache() { return cache_; }
-  ib::MrCache& mr_cache() { return cache_; }
-  core::GroupRegistrar& registrar() { return registrar_; }
   u32 id() const { return id_; }
 
   // Local logical clock: blocking calls start at now() and advance it.
@@ -345,12 +331,25 @@ class Client {
   // Round k's data phase cleared the wire at `t`: issue round k+1 if the
   // outstanding-round window has room, else record the stall.
   void wire_cleared(std::shared_ptr<OpState> op, u32 iod_idx, TimePoint t);
-  // Fan one write attempt out to every not-yet-acked replica of the chain
-  // (a single iod when unreplicated).
-  void run_write_round(std::shared_ptr<OpState> op, u32 iod_idx,
-                       size_t round_idx, TimePoint t0,
-                       std::shared_ptr<RoundTry> tr);
-  // Drive one write round against replica `rep` of the chain's set.
+  // Start an attempt of the round at `t` (the first issue and every replay
+  // or failover): arm the round timer under a fault plane, then fan a write
+  // out to every not-yet-acked replica of the chain (a single iod when
+  // unreplicated), or send a read to the chain's serving replica.
+  void run_round(std::shared_ptr<OpState> op, u32 iod_idx, size_t round_idx,
+                 TimePoint t, std::shared_ptr<RoundTry> tr);
+  // One attempt's request to replica position `rep` of a chain, as sent.
+  struct SentRequest {
+    RoundRequest rr;
+    u32 iod_id = 0;                          // the physical target
+    TimePoint arrive = TimePoint::origin();  // when it reached the iod
+    bool lost = false;                       // the fault plane dropped it
+  };
+  // Build the attempt's RoundRequest for replica position `rep` (local
+  // handle, slot, seq, version, epoch, staged flag), count it, put it on the
+  // wire at `t` and draw its loss.
+  SentRequest send_request(const OpState& op, u32 iod_idx, size_t round_idx,
+                           u32 rep, const RoundTry* tr, TimePoint t);
+  // Drive one write attempt against replica `rep` of the chain's set.
   void run_write_replica(std::shared_ptr<OpState> op, u32 iod_idx,
                          size_t round_idx, u32 rep, TimePoint t0,
                          std::shared_ptr<RoundTry> tr);
@@ -369,6 +368,7 @@ class Client {
                           std::shared_ptr<RoundTry> tr, TimePoint t,
                           u64 ack_version, u64 attempt_seq,
                           bool epoch_rejected);
+  // Drive one read attempt against the chain's serving replica.
   void run_read_round(std::shared_ptr<OpState> op, u32 iod_idx,
                       size_t round_idx, TimePoint t0,
                       std::shared_ptr<RoundTry> tr);
@@ -376,21 +376,34 @@ class Client {
   void arm_round_timer(std::shared_ptr<OpState> op, u32 iod_idx,
                        size_t round_idx, std::shared_ptr<RoundTry> tr,
                        TimePoint t);
+  // Cancel the attempt's armed timeout, if any (arm_round_timer overwrites
+  // the id without cancelling, so every re-issue path disarms first).
+  void disarm_timer(RoundTry& tr);
   // A round completed successfully (or terminally) at `t`: cancel its
   // timer, record recovery stats, and feed round_done. Idempotent per
   // round — late duplicate completions after a replay are ignored.
   void settle_round(std::shared_ptr<OpState> op, u32 iod_idx,
                     size_t round_idx, std::shared_ptr<RoundTry> tr,
                     TimePoint t, Status status);
-  // An attempt failed with `why` at `t`: retry with backoff if the error
-  // is transient and budget remains, else settle the round terminally.
+  // An attempt failed with `why` at `t`: fail a corrupt read over, retry
+  // with backoff if the error is transient and budget remains, fail a read
+  // over once the budget is spent, else settle the round terminally. A null
+  // `tr` (no recovery state) always settles terminally.
   void retry_or_fail(std::shared_ptr<OpState> op, u32 iod_idx,
                      size_t round_idx, std::shared_ptr<RoundTry> tr,
                      TimePoint t, Status why);
-  // Route a failed attempt: recovery path when `tr` exists, terminal
-  // round_done otherwise.
-  void fail_round(std::shared_ptr<OpState> op, u32 iod_idx, size_t round_idx,
-                  std::shared_ptr<RoundTry> tr, TimePoint t, Status why);
+  // Read failover is possible: a replicated read round that has not yet
+  // visited every replica of its chain.
+  bool can_fail_over(const OpState& op, u32 iod_idx,
+                     const RoundTry& tr) const;
+  // Move the chain to the next live replica after the serving one (plain
+  // rotation when every other one looks down), open a fresh retry budget
+  // there and re-issue the round at `t`; the chain's later rounds follow.
+  // `note(from_iod, to_iod)` books the cause's counters and trace line just
+  // before the re-issue. Requires can_fail_over.
+  void fail_over(std::shared_ptr<OpState> op, u32 iod_idx, size_t round_idx,
+                 std::shared_ptr<RoundTry> tr, TimePoint t,
+                 const std::function<void(u32, u32)>& note);
   // A round left the window (settled) at `t`.
   void round_done(std::shared_ptr<OpState> op, u32 iod_idx, size_t round_idx,
                   TimePoint t, Status status);
@@ -414,8 +427,7 @@ class Client {
   // A read round settled OK at `t`, served by the chain's current replica
   // whose stripe header reported `serving_version`: record that with the
   // manager and schedule async repair writes of the round's data to every
-  // chain replica whose recorded version trails (pvfs.read_repairs), when
-  // ReplicationParams::read_repair allows.
+  // chain replica whose recorded version trails (pvfs.read_repairs).
   void maybe_read_repair(std::shared_ptr<OpState> op, u32 iod_idx,
                          size_t round_idx, u64 serving_version, TimePoint t);
   // Gather the round's bytes from client memory now and apply them to
@@ -432,11 +444,10 @@ class Client {
   // Lost-write detection: the staleness map records the serving replica as
   // having acked the stripe's latest version, yet its header reports less —
   // the acked write never reached the platter. Downgrades the map to the
-  // observed header (pvfs.corruptions_detected), fails the chain over to
-  // the next live replica (pvfs.corrupt_reads_failed_over) and re-issues
-  // the round; returns true when it did. A replica the map already records
-  // stale serves old data without tripping this — that is the legitimate
-  // no-resync timeline, not a detection.
+  // observed header (pvfs.corruptions_detected) and fails the round over
+  // (pvfs.corrupt_reads_failed_over); returns true when it did. A replica
+  // the map already records stale serves old data without tripping this —
+  // that is the legitimate no-resync timeline, not a detection.
   bool lost_write_detected(std::shared_ptr<OpState> op, u32 iod_idx,
                            size_t round_idx, std::shared_ptr<RoundTry> tr,
                            u64 serving_version, TimePoint t);

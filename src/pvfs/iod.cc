@@ -744,9 +744,7 @@ void Iod::scrub_tick(std::shared_ptr<ScrubState> st) {
       // The shard manager that owns this local file's stripes: corrupt and
       // stale findings are reported there, and the version cross-check
       // reads its staleness map.
-      const bool backup = (h >> 63) != 0;
-      const Handle gh = backup ? (h & ((Handle{1} << 48) - 1)) : h;
-      const u32 shard = shard_of_handle(gh, cfg_.pvfs.metadata_shards);
+      const u32 shard = shard_of_handle(h, cfg_.pvfs.metadata_shards);
       Manager* mgr = shard < managers_.size() ? managers_[shard] : nullptr;
       // Version cross-check, once per file (at its first chunk): a header
       // trailing a stripe the map records *current here* is an acked write

@@ -336,9 +336,7 @@ void Manager::take_over(const Manager& durable,
   for (const HeaderObservation& obs : headers) {
     mint_floor_ = std::max(mint_floor_, obs.version);
     if (obs.version == 0) continue;
-    const bool backup = (obs.local_handle >> 63) != 0;
-    const Handle h =
-        backup ? (obs.local_handle & ((Handle{1} << 48) - 1)) : obs.local_handle;
+    const Handle h = file_handle(obs.local_handle);
     const FileMeta* meta = meta_of(h);
     if (meta == nullptr || meta->replication_factor <= 1) continue;
     for (u32 k = 0; k < meta->replicas.size(); ++k) {
@@ -349,8 +347,7 @@ void Manager::take_over(const Manager& durable,
       const std::vector<u32>& set = meta->replicas[k];
       for (size_t j = 0; j < set.size(); ++j) {
         if (set[j] != obs.iod_id) continue;
-        const Handle key = j == 0 ? h : backup_handle(h, k);
-        if (key != obs.local_handle) continue;
+        if (local_handle(h, k, j) != obs.local_handle) continue;
         StripeState& st = stripe_state_[{h, k}];
         if (st.replica.empty()) st.replica.resize(set.size(), 0);
         st.replica[j] = std::max(st.replica[j], obs.version);
@@ -546,11 +543,9 @@ void Manager::note_replica_resynced(Handle h, u32 stripe, u32 iod_id,
 }
 
 std::vector<Manager::LocalStripeView> Manager::local_stripes(
-    Handle local_handle, u32 iod_id) const {
+    Handle local, u32 iod_id) const {
   std::vector<LocalStripeView> out;
-  const bool backup = (local_handle >> 63) != 0;
-  const Handle h =
-      backup ? (local_handle & ((Handle{1} << 48) - 1)) : local_handle;
+  const Handle h = file_handle(local);
   const FileMeta* meta = meta_of(h);
   if (meta == nullptr || meta->replication_factor <= 1) return out;
   for (u32 k = 0; k < meta->replicas.size(); ++k) {
@@ -560,8 +555,7 @@ std::vector<Manager::LocalStripeView> Manager::local_stripes(
       // Same key-matching rule as the takeover header scan: a backup
       // header names its stripe in the shadow handle; a primary local file
       // is shared by every stripe primaried on the iod.
-      const Handle key = j == 0 ? h : backup_handle(h, k);
-      if (key != local_handle) continue;
+      if (local_handle(h, k, j) != local) continue;
       LocalStripeView v;
       v.handle = h;
       v.stripe = k;
@@ -604,11 +598,11 @@ std::vector<Manager::ResyncTarget> Manager::resync_targets(u32 iod) const {
     t.handle = h;
     t.stripe = stripe;
     t.latest = st.latest;
-    t.local_handle = pos == 0 ? h : backup_handle(h, stripe);
+    t.local_handle = local_handle(h, stripe, pos);
     for (size_t j = 0; j < set.size() && j < st.replica.size(); ++j) {
       if (j != pos && !flagged(j) && st.replica[j] >= st.latest) {
         t.peers.push_back(set[j]);
-        t.peer_handles.push_back(j == 0 ? h : backup_handle(h, stripe));
+        t.peer_handles.push_back(local_handle(h, stripe, j));
       }
     }
     if (!t.peers.empty()) out.push_back(std::move(t));

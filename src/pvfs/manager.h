@@ -158,7 +158,7 @@ class Manager {
   void note_replica_resynced(Handle h, u32 stripe, u32 iod_id, u64 version);
 
   // Every (handle, stripe) whose copy on physical iod `iod_id` lives under
-  // local-file key `local_handle` (one stripe for a shadow-handle backup;
+  // local-file key `local` (one stripe for a shadow-handle backup;
   // every stripe primaried on the iod for a primary file), with the map's
   // view of it — the scrubber's cross-check input. Empty for unknown or
   // unreplicated handles (same liveness fence as the notes).
@@ -169,8 +169,7 @@ class Manager {
     u64 latest = 0;
     u64 recorded = 0;  // this copy's recorded version (0 when corrupt)
   };
-  std::vector<LocalStripeView> local_stripes(Handle local_handle,
-                                             u32 iod_id) const;
+  std::vector<LocalStripeView> local_stripes(Handle local, u32 iod_id) const;
 
   // Resync targeting: every stripe whose copy on physical iod `iod` is
   // recorded stale, with the chain peers recorded current (candidate pull

@@ -38,6 +38,10 @@ MetaClient::MetaClient(ib::Hca& hca, sim::Engine& engine, Stats* stats,
   // Mount-time config fetch: the cached map starts correct and free (no
   // pvfs.shard_map_refreshes — the counter tracks redirect-driven
   // refreshes, which never happen in fault-free runs).
+  load_map();
+}
+
+void MetaClient::load_map() {
   shards_.clear();
   for (u32 s = 0; s < registry_->shard_count(); ++s) {
     const MetaRegistry::Shard& sh = registry_->shard(s);
@@ -62,12 +66,7 @@ void MetaClient::refresh_map() {
     if (stats_ != nullptr) stats_->add(stat::kPvfsShardMapRefreshes);
     return;
   }
-  shards_.clear();
-  for (u32 s = 0; s < registry_->shard_count(); ++s) {
-    const MetaRegistry::Shard& sh = registry_->shard(s);
-    shards_.push_back(CachedShard{sh.candidates, sh.active});
-  }
-  version_ = registry_->version();
+  load_map();
   if (stats_ != nullptr) stats_->add(stat::kPvfsShardMapRefreshes);
 }
 
@@ -105,12 +104,9 @@ MetaClient::Outcome MetaClient::call(const MetaRequest& rq, TimePoint issue) {
       if (stats_ != nullptr) stats_->add(stat::kPvfsShardRedirects);
       TimePoint noticed = issue + r.cost;
       if (refreshes > 0) {
-        Duration backoff = mig_.map_refresh_backoff;
-        for (u32 i = 1; i < refreshes && backoff < mig_.map_refresh_backoff_cap;
-             ++i) {
-          backoff = backoff * 2.0;
-        }
-        noticed = noticed + min(backoff, mig_.map_refresh_backoff_cap);
+        noticed = noticed + capped_backoff(mig_.map_refresh_backoff, 2.0,
+                                           mig_.map_refresh_backoff_cap,
+                                           refreshes);
       }
       const u64 stale_version = version_;
       refresh_map();
@@ -143,12 +139,9 @@ MetaClient::Outcome MetaClient::call(const MetaRequest& rq, TimePoint issue) {
     }
     CachedShard& cs = shards_[shard];
     if (stats_ != nullptr) stats_->add(stat::kPvfsMetaRetries);
-    Duration backoff = fc.backoff_base;
-    for (u32 i = 1; i <= retries && backoff < fc.backoff_cap; ++i) {
-      backoff = backoff * fc.backoff_mult;
-    }
-    backoff = min(backoff, fc.backoff_cap);
     ++retries;
+    const Duration backoff = capped_backoff(fc.backoff_base, fc.backoff_mult,
+                                            fc.backoff_cap, retries);
     // A lost request is only noticed when the timeout fires; a redirect is
     // a real (fast) reply.
     const bool lost = meta_lost(r.value);

@@ -160,8 +160,11 @@ class MetaClient {
     CachedShard& cs = shards_[shard];
     return *cs.candidates[cs.active];
   }
-  // Re-seed the cached map from the registry (free: redirect replies carry
-  // the map, and the mount-time fetch happened before the timeline starts).
+  // Copy the registry's current shard map into the cache (free: redirect
+  // replies carry the map, and the mount-time fetch happened before the
+  // timeline starts).
+  void load_map();
+  // A redirect-driven load_map (pvfs.shard_map_refreshes).
   void refresh_map();
   bool faulty() const;
 

@@ -57,9 +57,22 @@ struct ManagerEpoch {
 // same stripe-local offsets — so backups live under a per-stripe shadow
 // handle rather than the file handle. The top bit marks the shadow
 // namespace (real handles count up from 1); every backup of stripe k uses
-// the same key, so any replica can serve it after a failover.
+// the same key, so any replica can serve it after a failover. This header is
+// the only place that knows the bit layout.
 inline Handle backup_handle(Handle h, u32 stripe) {
   return (Handle{1} << 63) | (static_cast<Handle>(stripe) << 48) | h;
+}
+
+// The local-file key replica position `replica` of stripe `stripe` uses:
+// the file handle on the primary, the stripe's shadow handle on a backup.
+inline Handle local_handle(Handle h, u32 stripe, u32 replica) {
+  return replica == 0 ? h : backup_handle(h, stripe);
+}
+
+// The file handle behind a local-file key (a shadow handle decodes to the
+// file it shadows; a file handle is its own key).
+inline Handle file_handle(Handle local) {
+  return (local >> 63) != 0 ? (local & ((Handle{1} << 48) - 1)) : local;
 }
 
 // --- Metadata sharding ------------------------------------------------------
@@ -82,10 +95,9 @@ inline u32 shard_of(std::string_view name, u32 shard_count) {
 
 inline u32 shard_of_handle(Handle h, u32 shard_count) {
   if (shard_count <= 1) return 0;
-  // Backup copies live under per-stripe shadow handles (top bit set); the
-  // version plane still belongs to the file handle's shard.
-  const Handle raw = (h >> 63) != 0 ? (h & ((Handle{1} << 48) - 1)) : h;
-  return static_cast<u32>((raw - 1) % shard_count);
+  // A backup's shadow handle routes with its file: the version plane
+  // belongs to the file handle's shard.
+  return static_cast<u32>((file_handle(h) - 1) % shard_count);
 }
 
 // Live resharding grows the plane K -> 2K (Cluster::split_shards) because

@@ -49,6 +49,15 @@ TEST(ShardRouting, HandleShardMatchesMintingManagerAndDecodesShadows) {
         // A backup stripe's shadow handle belongs to the same shard as the
         // file it shadows (stripe headers and resync notes route by it).
         EXPECT_EQ(shard_of_handle(backup_handle(h, 2), n), s);
+        // Encode/decode round trip: every replica position's local-file key
+        // decodes back to the file handle.
+        EXPECT_EQ(file_handle(h), h);
+        for (u32 stripe : {0u, 2u, 32767u}) {
+          EXPECT_EQ(local_handle(h, stripe, 0), h);
+          EXPECT_EQ(local_handle(h, stripe, 1), backup_handle(h, stripe));
+          EXPECT_NE(backup_handle(h, stripe), h);
+          EXPECT_EQ(file_handle(backup_handle(h, stripe)), h);
+        }
       }
     }
   }
