@@ -76,7 +76,7 @@ SweepPoint run_point(double rate, bool is_write, u64 n) {
   pt.replays_deduped = s.get(stat::kPvfsReplaysDeduped);
   pt.injected = s.get(stat::kFaultRequestDrop) + s.get(stat::kFaultReplyDrop) +
                 s.get(stat::kFaultRetransmit) +
-                s.get(stat::kFaultCompletionError) + s.get(stat::kFaultRnr);
+                s.get(stat::kFaultCompletionError);
   return pt;
 }
 

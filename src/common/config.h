@@ -257,10 +257,9 @@ struct FaultConfig {
   // Metadata request to the manager vanishes (client retries with the same
   // backoff policy as data rounds).
   double meta_request_drop_rate = 0.0;
-  // QP-level failures: completion errors surface through
-  // TransferResult.status as kUnavailable; RNR forces receiver-not-ready.
+  // RDMA work requests that complete in error: surfaced through
+  // TransferResult.status as kUnavailable, with no payload moved.
   double completion_error_rate = 0.0;
-  double rnr_rate = 0.0;
 
   // Silent-corruption rates, drawn once per applied write round at the iod
   // (independent draws, checked in the order lost < torn < flip so at most
@@ -317,10 +316,10 @@ struct FaultConfig {
   bool enabled() const {
     return request_drop_rate > 0.0 || reply_drop_rate > 0.0 ||
            retransmit_rate > 0.0 || latency_spike_rate > 0.0 ||
-           completion_error_rate > 0.0 || rnr_rate > 0.0 ||
-           meta_request_drop_rate > 0.0 || bit_flip_rate > 0.0 ||
-           torn_write_rate > 0.0 || lost_write_rate > 0.0 ||
-           !disk_degrade.empty() || !schedule.empty();
+           completion_error_rate > 0.0 || meta_request_drop_rate > 0.0 ||
+           bit_flip_rate > 0.0 || torn_write_rate > 0.0 ||
+           lost_write_rate > 0.0 || !disk_degrade.empty() ||
+           !schedule.empty();
   }
 };
 

@@ -237,7 +237,6 @@ inline constexpr const char* kFaultRetransmit = "fault.injected.retransmit";
 inline constexpr const char* kFaultLatencySpike = "fault.injected.latency_spike";
 inline constexpr const char* kFaultCompletionError =
     "fault.injected.completion_error";
-inline constexpr const char* kFaultRnr = "fault.injected.rnr";
 inline constexpr const char* kFaultRequestDrop = "fault.injected.request_drop";
 inline constexpr const char* kFaultReplyDrop = "fault.injected.reply_drop";
 inline constexpr const char* kFaultIodCrash = "fault.injected.iod_crash";

@@ -102,9 +102,7 @@ AdsDecision ActiveDataSieving::decide(const ExtentList& accesses,
       is_write ? t_write_separate(accesses) : t_read_separate(accesses);
   d.t_sieve = is_write ? t_write_sieved(d.s_req, d.s_ds, s_ds_read)
                        : t_read_sieved(d.s_ds, s_ds_read);
-  if (!cfg_.enabled) {
-    d.sieve = false;
-  } else if (cfg_.force) {
+  if (cfg_.force) {
     d.sieve = accesses.size() > 1;
   } else {
     // Sieving a single access is pure overhead; otherwise trust the model.

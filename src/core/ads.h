@@ -31,8 +31,7 @@ namespace pvfsib::core {
 
 struct AdsConfig {
   u64 sieve_buffer_size = 4 * kMiB;
-  bool enabled = true;  // hint "off" turns every request into separate access
-  bool force = false;   // ablation: sieve regardless of the model
+  bool force = false;  // ablation: sieve regardless of the model
 };
 
 struct AdsDecision;
@@ -87,9 +86,8 @@ class ActiveDataSieving {
   u64 sieved_readable_bytes(const ExtentList& accesses, u64 file_size) const;
 
   const AdsConfig& config() const { return cfg_; }
-  // Ablation knobs (benches): bypass or disable the decision model.
+  // Ablation knob (benches): bypass the decision model.
   void set_force(bool v) { cfg_.force = v; }
-  void set_enabled(bool v) { cfg_.enabled = v; }
 
  private:
   // Bytes of the plan's window spans below `file_size`.

@@ -47,13 +47,6 @@ bool Injector::completion_error() {
   return true;
 }
 
-bool Injector::rnr() {
-  if (!enabled_ || cfg_.rnr_rate <= 0.0) return false;
-  if (!rng_.chance(cfg_.rnr_rate)) return false;
-  if (stats_ != nullptr) stats_->add(stat::kFaultRnr);
-  return true;
-}
-
 bool Injector::iod_down(u32 iod, TimePoint at) const {
   for (const FaultEvent& ev : cfg_.schedule) {
     if (ev.kind == FaultKind::kIodCrash && ev.target == iod && at >= ev.at &&

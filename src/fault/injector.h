@@ -1,7 +1,7 @@
 // Deterministic, schedule-driven fault injector (the fault plane).
 //
-// One Injector per cluster sits below the fabric, the QPs and the iods and
-// answers "does this message/transfer/server fail right now?". Decisions
+// One Injector per cluster sits below the fabric, the iods and the managers
+// and answers "does this message/transfer/server fail right now?". Decisions
 // come from two sources, both pure functions of the FaultConfig:
 //
 //   * explicit (time, target, kind) schedule entries — iod crashes with a
@@ -49,10 +49,6 @@ class Injector {
   // Should this RDMA work request complete in error? (Surfaced to the
   // consumer through TransferResult.status as kUnavailable.)
   bool completion_error();
-
-  // --- QP hooks -------------------------------------------------------------
-  // Force a receiver-not-ready failure on a channel send.
-  bool rnr();
 
   // --- PVFS round hooks -----------------------------------------------------
   // Is `iod` crashed (scheduled kIodCrash window) at time `at`?

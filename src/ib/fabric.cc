@@ -27,12 +27,7 @@ TimePoint Fabric::send_control(Hca& src, Hca& dst, u64 bytes, TimePoint ready,
                                                   : stat::kNetBytesControl,
                 static_cast<i64>(bytes));
   }
-  const TimePoint done = start + wire + params_.send_latency;
-  src.cq().push(Completion{next_wr_id_++, Completion::Op::kSend, bytes,
-                           Status::ok(), done});
-  dst.cq().push(Completion{next_wr_id_++, Completion::Op::kRecv, bytes,
-                           Status::ok(), done});
-  return done;
+  return start + wire + params_.send_latency;
 }
 
 Duration Fabric::fixed_overheads(Op op, std::span<const Sge> sges,
@@ -42,7 +37,6 @@ Duration Fabric::fixed_overheads(Op op, std::span<const Sge> sges,
   Duration cost = params_.per_wr_overhead * static_cast<i64>(n_wrs) +
                   params_.per_sge_overhead * static_cast<i64>(n_sges);
   // Misalignment penalty: once per WR containing any misaligned SGE.
-  u64 wr_idx = 0;
   bool wr_misaligned = false;
   u64 in_wr = 0;
   for (const Sge& s : sges) {
@@ -51,11 +45,9 @@ Duration Fabric::fixed_overheads(Op op, std::span<const Sge> sges,
       if (wr_misaligned) cost += params_.misalign_penalty;
       wr_misaligned = false;
       in_wr = 0;
-      ++wr_idx;
     }
   }
   if (in_wr > 0 && wr_misaligned) cost += params_.misalign_penalty;
-  (void)wr_idx;
   // One-way latency, paid once per operation.
   cost += op == Op::kWrite ? params_.rdma_write_latency
                            : params_.rdma_read_latency;
@@ -82,10 +74,6 @@ TransferResult Fabric::rdma_common(Op op, Hca& local,
     // time is occupied, and the consumer sees a retryable failure.
     out.status = unavailable("work request completed in error (injected)");
     out.complete = ready + fixed_overheads(op, sges, sges_per_wr);
-    local.cq().push(Completion{next_wr_id_++,
-                               op == Op::kWrite ? Completion::Op::kRdmaWrite
-                                                : Completion::Op::kRdmaRead,
-                               0, out.status, out.complete});
     return out;
   }
 
@@ -120,10 +108,6 @@ TransferResult Fabric::rdma_common(Op op, Hca& local,
     stats_->add(op == Op::kWrite ? stat::kRdmaWrite : stat::kRdmaRead);
     stats_->add(stat::kNetBytesData, static_cast<i64>(total));
   }
-  local.cq().push(Completion{next_wr_id_++,
-                             op == Op::kWrite ? Completion::Op::kRdmaWrite
-                                              : Completion::Op::kRdmaRead,
-                             total, Status::ok(), out.complete});
   return out;
 }
 

@@ -85,7 +85,6 @@ class Fabric {
   }
 
   const NetParams& params() const { return params_; }
-  fault::Injector* injector() { return faults_; }
 
  private:
   enum class Op { kWrite, kRead };
@@ -99,7 +98,6 @@ class Fabric {
   NetParams params_;
   Stats* stats_;
   fault::Injector* faults_;
-  u64 next_wr_id_ = 1;
 };
 
 }  // namespace pvfsib::ib

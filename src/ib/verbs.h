@@ -15,7 +15,6 @@
 #include "common/sim_time.h"
 #include "common/stats.h"
 #include "common/status.h"
-#include "ib/cq.h"
 #include "sim/resource.h"
 #include "vmem/address_space.h"
 
@@ -69,7 +68,6 @@ class Hca {
   vmem::AddressSpace& address_space() { return as_; }
   const vmem::AddressSpace& address_space() const { return as_; }
   sim::Resource& nic() { return nic_; }
-  CompletionQueue& cq() { return cq_; }
   const std::string& name() const { return name_; }
   const RegParams& reg_params() const { return params_; }
   Stats* stats() { return stats_; }
@@ -86,7 +84,6 @@ class Hca {
   RegParams params_;
   Stats* stats_;
   sim::Resource nic_;
-  CompletionQueue cq_;
   std::map<u32, MemoryRegion> regions_;
   u64 bytes_registered_ = 0;
   u32 next_key_ = 1;

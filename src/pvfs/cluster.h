@@ -89,13 +89,6 @@ class Cluster {
     for (auto& c : clients_) c->data_cache().drop_all();
   }
 
-  // The cluster-wide lease revocation bus for the client caching tier.
-  // Managers publish create/remove revokes on it; the cluster publishes
-  // epoch-bump revokes at takeover/migration/split cutovers; cache-enabled
-  // clients subscribe through their MetaClients. With caching off nothing
-  // subscribes and publication is a free no-op.
-  LeaseBus& lease_bus() { return lease_bus_; }
-
   // Cluster-wide default transfer policy. Applied by every client to
   // operations whose IoOptions did not pick a policy explicitly (via
   // with_policy()/with_scheme()); pass nullopt to clear.
@@ -238,8 +231,12 @@ class Cluster {
   // Declared before clients_ (each Client's MetaClient seeds from it and
   // keeps the pointer for redirect-driven refreshes).
   MetaRegistry registry_;
-  // Declared before managers_/clients_ users attach to it; owns nothing
-  // but subscription closures.
+  // The cluster-wide lease revocation bus for the client caching tier:
+  // managers publish create/remove revokes on it, the cluster publishes
+  // epoch-bump revokes at takeover/migration/split cutovers, and
+  // cache-enabled clients subscribe through their MetaClients. Declared
+  // before managers_/clients_ users attach to it; owns nothing but
+  // subscription closures.
   LeaseBus lease_bus_;
   std::vector<std::unique_ptr<Iod>> iods_;
   std::vector<std::unique_ptr<Client>> clients_;

@@ -16,7 +16,6 @@
 #include "disk/local_fs.h"      // the I/O node's local file system
 #include "ib/fabric.h"          // RDMA gather/scatter fabric
 #include "ib/mr_cache.h"        // pin-down registration cache
-#include "ib/qp.h"              // queue pairs (channel semantics)
 #include "mpiio/mpio_file.h"    // MPI-IO with the four ROMIO methods
 #include "pvfs/cluster.h"       // the whole simulated cluster
 #include "sim/trace.h"          // protocol event tracing

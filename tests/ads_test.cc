@@ -120,13 +120,6 @@ TEST_F(AdsTest, WriteDecisionChargesReadModifyWrite) {
   EXPECT_TRUE(w.sieve);  // still a win at this density
 }
 
-TEST_F(AdsTest, DisabledNeverSieves) {
-  AdsConfig cfg;
-  cfg.enabled = false;
-  ActiveDataSieving ads = make(cfg);
-  EXPECT_FALSE(ads.decide(strided(128, 512, 2048), false).sieve);
-}
-
 TEST_F(AdsTest, ForcedAlwaysSieves) {
   AdsConfig cfg;
   cfg.force = true;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "fault/injector.h"
 
 namespace pvfsib::ib {
 namespace {
@@ -20,6 +21,19 @@ class FabricTest : public ::testing::Test {
     RegAttempt r = hca.register_memory(a, n);
     EXPECT_TRUE(r.ok());
     return {a, r.key};
+  }
+
+  // Write a nonzero pattern into [addr, addr + n).
+  static void fill(vmem::AddressSpace& as, u64 addr, u64 n) {
+    for (u64 i = 0; i < n; ++i) {
+      as.write_pod<u8>(addr + i, static_cast<u8>(0xa0 + i % 16));
+    }
+  }
+
+  static void expect_zero(vmem::AddressSpace& as, u64 addr, u64 n) {
+    for (u64 i = 0; i < n; ++i) {
+      ASSERT_EQ(as.read_pod<u8>(addr + i), 0) << "byte " << i;
+    }
   }
 
   vmem::AddressSpace client_as_, server_as_;
@@ -124,7 +138,7 @@ TEST_F(FabricTest, ReadSlowerThanWrite) {
 TEST_F(FabricTest, InvalidKeyRejected) {
   auto [la, lk] = make_buffer(client_, client_as_, kPageSize);
   auto [ra, rk] = make_buffer(server_, server_as_, kPageSize);
-  (void)lk;
+  fill(client_as_, la, 16);
   const Sge bad{la, 16, 9999};
   EXPECT_FALSE(
       fabric_.rdma_write(client_, bad, server_, ra, rk, TimePoint::origin())
@@ -135,6 +149,35 @@ TEST_F(FabricTest, InvalidKeyRejected) {
                    .rdma_write(client_, good, server_, ra + kPageSize - 4, rk,
                                TimePoint::origin())
                    .ok());
+  // A rejected work request moves no bytes, holds no NIC and counts nothing.
+  expect_zero(server_as_, ra, kPageSize);
+  EXPECT_EQ(client_.nic().busy_total(), Duration::zero());
+  EXPECT_EQ(server_.nic().busy_total(), Duration::zero());
+  EXPECT_EQ(stats_.get(stat::kRdmaWrite), 0);
+  EXPECT_EQ(stats_.get(stat::kNetBytesData), 0);
+}
+
+TEST_F(FabricTest, InjectedCompletionErrorMovesNothing) {
+  FaultConfig fc;
+  fc.completion_error_rate = 1.0;
+  fault::Injector faults(fc, &stats_);
+  Fabric faulty(net_, &stats_, &faults);
+  auto [la, lk] = make_buffer(client_, client_as_, kPageSize);
+  auto [ra, rk] = make_buffer(server_, server_as_, kPageSize);
+  fill(client_as_, la, 64);
+  const Sge sge{la, 64, lk};
+  const TransferResult tr =
+      faulty.rdma_write(client_, sge, server_, ra, rk, TimePoint::origin());
+  EXPECT_EQ(tr.status.code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(tr.bytes, 0u);
+  // The WR errored on the HCA: the destination keeps its bytes, neither
+  // NIC is occupied, and only the fault counter moves.
+  expect_zero(server_as_, ra, kPageSize);
+  EXPECT_EQ(client_.nic().busy_total(), Duration::zero());
+  EXPECT_EQ(server_.nic().busy_total(), Duration::zero());
+  EXPECT_EQ(stats_.get(stat::kFaultCompletionError), 1);
+  EXPECT_EQ(stats_.get(stat::kRdmaWrite), 0);
+  EXPECT_EQ(stats_.get(stat::kNetBytesData), 0);
 }
 
 TEST_F(FabricTest, PerBufferWrCostsMoreThanGather) {
