@@ -1375,34 +1375,29 @@ void Client::run_write_replica(std::shared_ptr<OpState> op, u32 iod_idx,
     if (tr != nullptr && rep < tr->data_landed.size()) {
       tr->data_landed[rep] = true;
     }
-    Duration disk_cost = Duration::zero();
-    u64 ack_version = 0;
-    bool epoch_rejected = false;
-    const TimePoint t_disk =
-        iod.write_round(rr, data_ready + cfg_.pvfs.iod_request_cpu,
-                        &disk_cost, &ack_version, &epoch_rejected);
-    op->phases.disk += disk_cost;
+    const Iod::WriteService svc =
+        iod.write_round(rr, data_ready + cfg_.pvfs.iod_request_cpu);
+    op->phases.disk += svc.disk_cost;
     if (stats_ != nullptr) stats_->add(stat::kPvfsReply);
     const u64 attempt_seq = rr.round_seq;
     auto send_reply = [this, op, iod_idx, round_idx, rep, tr, &iod, iod_id,
-                       t_disk, ack_version, attempt_seq, epoch_rejected] {
+                       svc, attempt_seq] {
       const TimePoint t_reply =
           fabric_.send_control(iod.hca(), hca_, cfg_.pvfs.reply_msg_bytes,
-                               t_disk, ib::ControlKind::kReply);
-      if (tr != nullptr && faulty() && faults_->reply_lost(iod_id, t_disk)) {
+                               svc.done, ib::ControlKind::kReply);
+      if (tr != nullptr && faulty() && faults_->reply_lost(iod_id, svc.done)) {
         // The write applied but its ack vanished; the replay is recognised
         // by round_seq at the iod and acked without re-running the disk.
         // The version note rides the ack, so it is lost with it.
-        sim::Trace::instance().emitf(t_disk, hca_.name(),
+        sim::Trace::instance().emitf(svc.done, hca_.name(),
                                      "iod%u round %zu reply lost", iod_id,
                                      round_idx + 1);
         return;
       }
       engine_.schedule_at(t_reply, [this, op, iod_idx, round_idx, rep, tr,
-                                    t_reply, ack_version, attempt_seq,
-                                    epoch_rejected] {
+                                    t_reply, svc, attempt_seq] {
         write_replica_done(op, iod_idx, round_idx, rep, tr, t_reply,
-                           ack_version, attempt_seq, epoch_rejected);
+                           svc.ack_version, attempt_seq, svc.epoch_rejected);
       });
     };
     if (op->replica_sets[iod_idx].size() > 1) {
@@ -1411,7 +1406,7 @@ void Client::run_write_replica(std::shared_ptr<OpState> op, u32 iod_idx,
       // sends in nondecreasing virtual time or the slow copy's in-flight
       // ack time leaks into the fast copy's. Factor-1 chains keep the
       // inline call: one reply per round, issue order already matches.
-      engine_.schedule_at(t_disk, send_reply);
+      engine_.schedule_at(svc.done, send_reply);
     } else {
       send_reply();
     }

@@ -58,20 +58,22 @@ class Iod {
   u32 staging_slots() const { return slots_per_client_; }
 
   // --- Write round -----------------------------------------------------
+  struct WriteService {
+    // When the round is durably done (post-fsync when sync).
+    TimePoint done = TimePoint::origin();
+    // Pure disk service time, excluding disk-queue wait.
+    Duration disk_cost = Duration::zero();
+    // Stripe-header version the ack carries back (after merging
+    // r.version; 0 for unversioned files).
+    u64 ack_version = 0;
+    // The round's version was epoch-fenced out of the header: the ack
+    // tells the client to re-mint and replay under the current epoch.
+    bool epoch_rejected = false;
+  };
   // The packed data stream for `r` is in staging(r.client, r.slot) at
   // `data_ready`. Performs the disk phase (separate accesses or sieved
-  // read-modify-write) and returns the time the round is durably done
-  // (post-fsync when sync). When `disk_cost` is non-null it receives the
-  // pure service time (excluding disk-queue wait). When `ack_version` is
-  // non-null it receives the stripe-header version the ack carries back
-  // (after merging r.version; 0 for unversioned files). When
-  // `epoch_rejected` is non-null it reports whether the round's version
-  // was epoch-fenced out of the header (the ack tells the client to
-  // re-mint and replay under the current epoch).
-  TimePoint write_round(const RoundRequest& r, TimePoint data_ready,
-                        Duration* disk_cost = nullptr,
-                        u64* ack_version = nullptr,
-                        bool* epoch_rejected = nullptr);
+  // read-modify-write).
+  WriteService write_round(const RoundRequest& r, TimePoint data_ready);
 
   // --- Read round -------------------------------------------------------
   struct ReadService {

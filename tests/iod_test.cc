@@ -76,8 +76,11 @@ TEST_F(IodTest, WriteRoundSeparatePlacesPieces) {
   stage_pattern(3000, 1);
   RoundRequest r =
       round({{100, 1000}, {5000, 2000}}, /*write=*/true, /*ads=*/false);
-  const TimePoint done = iod_.write_round(r, TimePoint::origin());
-  EXPECT_GT(done, TimePoint::origin());
+  const Iod::WriteService svc = iod_.write_round(r, TimePoint::origin());
+  EXPECT_GT(svc.done, TimePoint::origin());
+  // Nothing queued ahead: the round is done when its disk phase is.
+  EXPECT_EQ(svc.done - TimePoint::origin(), svc.disk_cost);
+  EXPECT_EQ(svc.ack_version, 0u);  // unversioned file
 
   disk::LocalFile& f = iod_.file(7);
   ASSERT_EQ(f.size(), 7000u);
@@ -127,11 +130,11 @@ TEST_F(IodTest, WriteRoundSievedRmwPreservesSurroundingData) {
 TEST_F(IodTest, WriteRoundSyncCostsMore) {
   stage_pattern(1 * kMiB, 2);
   RoundRequest r = round({{0, 1 * kMiB}}, true, false);
-  const TimePoint t1 = iod_.write_round(r, TimePoint::origin());
+  const TimePoint t1 = iod_.write_round(r, TimePoint::origin()).done;
   r.sync = true;
   r.accesses = {{2 * kMiB, 1 * kMiB}};
   const TimePoint t0 = iod_.disk_queue().busy_until();
-  const TimePoint t2 = iod_.write_round(r, t0);
+  const TimePoint t2 = iod_.write_round(r, t0).done;
   EXPECT_GT(t2 - t0, (t1 - TimePoint::origin()) * 5);
 }
 
@@ -241,29 +244,37 @@ TEST_F(IodTest, StaleEpochMintsAreFencedOutOfStripeHeaders) {
   RoundRequest r = round({{0, 1024}}, /*write=*/true, /*ads=*/false);
   r.version = 1;
   r.epoch = 1;
-  iod_.write_round(r, TimePoint::origin());
+  Iod::WriteService svc = iod_.write_round(r, TimePoint::origin());
   EXPECT_EQ(iod_.stripe_version(7), 1u);
+  EXPECT_EQ(svc.ack_version, 1u);
+  EXPECT_FALSE(svc.epoch_rejected);
 
   iod_.note_manager_epoch(2);
   r.version = 5;
   r.epoch = 1;  // minted by the demoted manager
   r.accesses = {{1024, 1024}};
   const i64 before = stats_.get(stat::kPvfsEpochRejections);
-  iod_.write_round(r, TimePoint::origin());
+  svc = iod_.write_round(r, TimePoint::origin());
   EXPECT_EQ(stats_.get(stat::kPvfsEpochRejections), before + 1);
   EXPECT_EQ(iod_.stripe_version(7), 1u);  // header fenced...
   EXPECT_GE(iod_.file(7).size(), 2048u);  // ...bytes still applied
+  // The ack tells the client to re-mint and carries the fenced header.
+  EXPECT_TRUE(svc.epoch_rejected);
+  EXPECT_EQ(svc.ack_version, 1u);
 
   // Mints under the current epoch, and unstamped (trusted, e.g. repair)
   // versions, merge as usual.
   r.version = 6;
   r.epoch = 2;
-  iod_.write_round(r, TimePoint::origin());
+  svc = iod_.write_round(r, TimePoint::origin());
   EXPECT_EQ(iod_.stripe_version(7), 6u);
+  EXPECT_EQ(svc.ack_version, 6u);
+  EXPECT_FALSE(svc.epoch_rejected);
   r.version = 7;
   r.epoch = 0;
-  iod_.write_round(r, TimePoint::origin());
+  svc = iod_.write_round(r, TimePoint::origin());
   EXPECT_EQ(iod_.stripe_version(7), 7u);
+  EXPECT_EQ(svc.ack_version, 7u);
 }
 
 TEST_F(IodTest, RemoveFilePurgesTheStripeHeader) {
@@ -353,10 +364,10 @@ TEST_F(IodTest, GrowthRestampsGapAndOldTail) {
 TEST_F(IodTest, DiskQueueSerializesRounds) {
   stage_pattern(1 * kMiB, 3);
   RoundRequest r = round({{0, 1 * kMiB}}, true, false);
-  const TimePoint t1 = iod_.write_round(r, TimePoint::origin());
+  const TimePoint t1 = iod_.write_round(r, TimePoint::origin()).done;
   // A second round arriving at time 0 queues behind the first.
   r.accesses = {{4 * kMiB, 1 * kMiB}};
-  const TimePoint t2 = iod_.write_round(r, TimePoint::origin());
+  const TimePoint t2 = iod_.write_round(r, TimePoint::origin()).done;
   EXPECT_GT(t2, t1);
   const Duration d1 = t1 - TimePoint::origin();
   EXPECT_NEAR((t2 - TimePoint::origin()).as_us(), 2 * d1.as_us(),
