@@ -41,20 +41,17 @@ void Manager::attach_epoch(ManagerEpoch* cell, bool active) {
   primary_ = active;
 }
 
-Duration Manager::round_trip(ib::Hca& from, TimePoint ready, TimePoint* done,
-                             bool* lost) {
+Timed<Status> Manager::admit(ib::Hca& from, TimePoint ready,
+                             const std::string& name) {
   const TimePoint at_mgr = fabric_.send_control(
       from, hca_, cfg_.pvfs.request_msg_bytes, ready, ib::ControlKind::kRequest);
   if (faults_ != nullptr && faults_->enabled() &&
       faults_->meta_request_lost(at_mgr, primary_, shard_id_)) {
     // The request wire time was spent but the manager never saw it; the
-    // caller notices via timeout. `done` is meaningless to a client that
-    // received nothing, so report only the request leg.
-    *lost = true;
-    *done = at_mgr;
-    return at_mgr - ready;
+    // caller notices via timeout. A client that received nothing is
+    // charged only the request leg.
+    return {meta_lost_status(), at_mgr - ready};
   }
-  *lost = false;
   // Metadata lookup cost on the manager. With meta_cpu_queue the lookup
   // serializes through the manager's CPU (busy-until queueing — the
   // contention the metadata-storm bench measures); otherwise it is a fixed
@@ -63,9 +60,18 @@ Duration Manager::round_trip(ib::Hca& from, TimePoint ready, TimePoint* done,
   const TimePoint replied = cfg_.pvfs.meta_cpu_queue
                                 ? cpu_.acquire(at_mgr, service)
                                 : at_mgr + service;
-  *done = fabric_.send_control(hca_, from, cfg_.pvfs.reply_msg_bytes, replied,
-                               ib::ControlKind::kReply);
-  return *done - ready;
+  const TimePoint done =
+      fabric_.send_control(hca_, from, cfg_.pvfs.reply_msg_bytes, replied,
+                           ib::ControlKind::kReply);
+  const Duration cost = done - ready;
+  // A migrated-out source answers kWrongShard even though it is inactive:
+  // only the wrong-shard reply drives a map refresh, and the refreshed map
+  // reaches the target. kFailedPrecondition would rotate a stale client
+  // between the retired source and its equally stale standby forever.
+  if (migrated_out_) return {wrong_shard_redirect(name), cost};
+  if (!active_ || epoch_stale()) return {manager_inactive_status(), cost};
+  if (!owns(name)) return {wrong_shard_redirect(name), cost};
+  return {Status::ok(), cost};
 }
 
 Result<std::vector<std::vector<u32>>> Manager::place_replicas(
@@ -108,23 +114,9 @@ Timed<Result<FileMeta>> Manager::create(ib::Hca& from, TimePoint ready,
                                         const std::string& name,
                                         u64 stripe_size, u32 iod_count,
                                         u32 base_iod, u32 replication_factor) {
-  TimePoint done;
-  bool lost = false;
-  const Duration cost = round_trip(from, ready, &done, &lost);
-  if (lost) return {Result<FileMeta>(meta_lost_status()), cost};
-  // A migrated-out source answers kWrongShard even though it is inactive:
-  // only the wrong-shard reply drives a map refresh, and the refreshed map
-  // reaches the target. kFailedPrecondition would rotate a stale client
-  // between the retired source and its equally stale standby forever.
-  if (migrated_out_) {
-    return {Result<FileMeta>(wrong_shard_redirect(name)), cost};
-  }
-  if (!active_ || epoch_stale()) {
-    return {Result<FileMeta>(manager_inactive_status()), cost};
-  }
-  if (!owns(name)) {
-    return {Result<FileMeta>(wrong_shard_redirect(name)), cost};
-  }
+  Timed<Status> gate = admit(from, ready, name);
+  const Duration cost = gate.cost;
+  if (!gate.value.is_ok()) return {std::move(gate.value), cost};
   if (by_name_.count(name) != 0) {
     return {Result<FileMeta>(already_exists("file exists: " + name)), cost};
   }
@@ -164,19 +156,9 @@ Timed<Result<FileMeta>> Manager::create(ib::Hca& from, TimePoint ready,
 
 Timed<Result<FileMeta>> Manager::open(ib::Hca& from, TimePoint ready,
                                       const std::string& name) {
-  TimePoint done;
-  bool lost = false;
-  const Duration cost = round_trip(from, ready, &done, &lost);
-  if (lost) return {Result<FileMeta>(meta_lost_status()), cost};
-  if (migrated_out_) {
-    return {Result<FileMeta>(wrong_shard_redirect(name)), cost};
-  }
-  if (!active_ || epoch_stale()) {
-    return {Result<FileMeta>(manager_inactive_status()), cost};
-  }
-  if (!owns(name)) {
-    return {Result<FileMeta>(wrong_shard_redirect(name)), cost};
-  }
+  Timed<Status> gate = admit(from, ready, name);
+  const Duration cost = gate.cost;
+  if (!gate.value.is_ok()) return {std::move(gate.value), cost};
   auto it = by_name_.find(name);
   if (it == by_name_.end()) {
     return {Result<FileMeta>(not_found("no such file: " + name)), cost};
@@ -186,17 +168,9 @@ Timed<Result<FileMeta>> Manager::open(ib::Hca& from, TimePoint ready,
 
 Timed<Status> Manager::remove(ib::Hca& from, TimePoint ready,
                               const std::string& name) {
-  TimePoint done;
-  bool lost = false;
-  const Duration cost = round_trip(from, ready, &done, &lost);
-  if (lost) return {meta_lost_status(), cost};
-  if (migrated_out_) return {wrong_shard_redirect(name), cost};
-  if (!active_ || epoch_stale()) {
-    return {manager_inactive_status(), cost};
-  }
-  if (!owns(name)) {
-    return {wrong_shard_redirect(name), cost};
-  }
+  Timed<Status> gate = admit(from, ready, name);
+  const Duration cost = gate.cost;
+  if (!gate.value.is_ok()) return gate;
   auto it = by_name_.find(name);
   if (it == by_name_.end()) {
     return {not_found("no such file: " + name), cost};

@@ -315,12 +315,12 @@ class Manager {
                  const std::vector<HeaderObservation>& headers, TimePoint at);
 
  private:
-  // Control round-trip helper: request to manager + reply back. Sets
-  // *lost when the fault plane swallowed the request before it reached
-  // the manager (the reply leg never runs; the caller must return
-  // kUnavailable without touching the namespace).
-  Duration round_trip(ib::Hca& from, TimePoint ready, TimePoint* done,
-                      bool* lost);
+  // The admission steps create, open and remove share: the control round
+  // trip, then the rejections (lost request, migrated-out redirect,
+  // inactive or epoch-stale manager, name outside this shard). A non-ok
+  // status is the op's reply. `cost` is the client-visible time either
+  // way; a lost request is charged only its request leg.
+  Timed<Status> admit(ib::Hca& from, TimePoint ready, const std::string& name);
 
   const FileMeta* meta_of(Handle h) const;
 
