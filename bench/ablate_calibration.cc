@@ -15,7 +15,8 @@ namespace {
 
 // Largest N in {512..16384} whose block-column write round still sieves.
 u64 write_crossover(const DiskParams& disk, const FsParams& fs) {
-  core::ActiveDataSieving ads(disk, fs, MemParams{});
+  Stats stats;
+  core::ActiveDataSieving ads(disk, fs, MemParams{}, core::AdsConfig{}, stats);
   u64 last = 0;
   for (u64 n = 512; n <= 16384; n *= 2) {
     // One 128-pair round of the per-iod pattern: piece = n bytes, 1-in-4.

@@ -31,9 +31,9 @@ void run() {
 
     Stats stats;
     vmem::AddressSpace as;
-    ib::Hca hca("client", as, cfg.reg, &stats);
+    ib::Hca hca("client", as, cfg.reg, stats);
     ib::MrCache cache(hca);
-    core::GroupRegistrar ogr(cache, cfg.os, core::OgrConfig{}, &stats);
+    core::GroupRegistrar ogr(cache, cfg.os, core::OgrConfig{}, stats);
 
     // Each working set groups into ONE region under OGR, so capacity is in
     // units of working sets.

@@ -19,11 +19,11 @@ namespace {
 
 struct Rig {
   Rig(const ModelConfig& cfg, u64 bounce, u64 staging_bytes)
-      : client("client", client_as, cfg.reg, &stats),
-        server("server", server_as, cfg.reg, &stats),
+      : client("client", client_as, cfg.reg, stats),
+        server("server", server_as, cfg.reg, stats),
         cache(client),
-        registrar(cache, cfg.os, core::OgrConfig{}, &stats),
-        fabric(cfg.net, &stats),
+        registrar(cache, cfg.os, core::OgrConfig{}, stats),
+        fabric(cfg.net, stats, faults),
         xfer(fabric, cfg.mem) {
     ep.hca = &client;
     ep.cache = &cache;
@@ -37,6 +37,7 @@ struct Rig {
     staging.rkey = server.register_memory(staging.addr, staging_bytes).key;
   }
   Stats stats;
+  fault::Injector faults{FaultConfig{}, stats};
   vmem::AddressSpace client_as, server_as;
   ib::Hca client, server;
   ib::MrCache cache;

@@ -36,9 +36,9 @@ std::unique_ptr<Layout> make_layout(u64 hole_pages) {
 Duration strategy_cost(Layout& l, const RegParams& rp,
                        core::RegStrategy strategy, u64* groups) {
   Stats stats;
-  ib::Hca hca("c", l.as, rp, &stats);
+  ib::Hca hca("c", l.as, rp, stats);
   ib::MrCache cache(hca);
-  core::GroupRegistrar ogr(cache, OsParams{}, core::OgrConfig{}, &stats);
+  core::GroupRegistrar ogr(cache, OsParams{}, core::OgrConfig{}, stats);
   if (groups != nullptr) *groups = ogr.plan_groups(l.segs).size();
   core::OgrOutcome out = ogr.acquire(l.segs, strategy);
   if (!out.ok()) return Duration::max();
@@ -85,9 +85,9 @@ void run() {
         (rp.reg_per_page + rp.dereg_per_page).as_us();
     auto l = make_layout(8);
     Stats stats;
-    ib::Hca hca("c", l->as, rp, &stats);
+    ib::Hca hca("c", l->as, rp, stats);
     ib::MrCache cache(hca);
-    core::GroupRegistrar ogr(cache, OsParams{}, core::OgrConfig{}, &stats);
+    core::GroupRegistrar ogr(cache, OsParams{}, core::OgrConfig{}, stats);
     const u64 groups = ogr.plan_groups(l->segs).size();
     core::OgrOutcome out = ogr.acquire(l->segs);
     t2.row({fmt(scale, 2), fmt(break_even, 1),

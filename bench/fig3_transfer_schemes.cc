@@ -23,11 +23,11 @@ namespace {
 struct Rig {
   explicit Rig(u64 bounce_bytes, u64 staging_bytes)
       : cfg(ModelConfig::paper_defaults()),
-        client("client", client_as, cfg.reg, &stats),
-        server("server", server_as, cfg.reg, &stats),
+        client("client", client_as, cfg.reg, stats),
+        server("server", server_as, cfg.reg, stats),
         cache(client),
-        registrar(cache, cfg.os, core::OgrConfig{}, &stats),
-        fabric(cfg.net, &stats),
+        registrar(cache, cfg.os, core::OgrConfig{}, stats),
+        fabric(cfg.net, stats, faults),
         xfer(fabric, cfg.mem) {
     ep.hca = &client;
     ep.cache = &cache;
@@ -43,6 +43,7 @@ struct Rig {
 
   ModelConfig cfg;
   Stats stats;
+  fault::Injector faults{FaultConfig{}, stats};
   vmem::AddressSpace client_as, server_as;
   ib::Hca client, server;
   ib::MrCache cache;

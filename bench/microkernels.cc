@@ -46,9 +46,9 @@ void BM_OgrPlanGroups(benchmark::State& state) {
   const u64 rows = static_cast<u64>(state.range(0));
   vmem::AddressSpace as;
   Stats stats;
-  ib::Hca hca("bench", as, RegParams{}, &stats);
+  ib::Hca hca("bench", as, RegParams{}, stats);
   ib::MrCache cache(hca);
-  core::GroupRegistrar ogr(cache, OsParams{}, core::OgrConfig{}, &stats);
+  core::GroupRegistrar ogr(cache, OsParams{}, core::OgrConfig{}, stats);
   workloads::SubarrayLayout l;
   l.n = rows * 2;
   const u64 base = l.alloc_array(as);
@@ -74,7 +74,9 @@ BENCHMARK(BM_SubarrayFlatten)->Range(64, 4096);
 
 void BM_AdsPlanWindows(benchmark::State& state) {
   const u64 n = static_cast<u64>(state.range(0));
-  core::ActiveDataSieving ads(DiskParams{}, FsParams{}, MemParams{});
+  Stats stats;
+  core::ActiveDataSieving ads(DiskParams{}, FsParams{}, MemParams{},
+                              core::AdsConfig{}, stats);
   ExtentList acc;
   for (u64 i = 0; i < n; ++i) acc.push_back({i * 8192, 2048});
   for (auto _ : state) {
@@ -87,7 +89,9 @@ BENCHMARK(BM_AdsPlanWindows)->Range(64, 8192);
 
 void BM_AdsDecide(benchmark::State& state) {
   const u64 n = static_cast<u64>(state.range(0));
-  core::ActiveDataSieving ads(DiskParams{}, FsParams{}, MemParams{});
+  Stats stats;
+  core::ActiveDataSieving ads(DiskParams{}, FsParams{}, MemParams{},
+                              core::AdsConfig{}, stats);
   ExtentList acc;
   for (u64 i = 0; i < n; ++i) acc.push_back({i * 8192, 2048});
   for (auto _ : state) {

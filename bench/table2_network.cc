@@ -19,10 +19,11 @@ void run() {
 
   const ModelConfig cfg = ModelConfig::paper_defaults();
   Stats stats;
+  fault::Injector faults(FaultConfig{}, stats);
   vmem::AddressSpace as_a, as_b;
-  ib::Hca a("a", as_a, cfg.reg, &stats);
-  ib::Hca b("b", as_b, cfg.reg, &stats);
-  ib::Fabric fabric(cfg.net, &stats);
+  ib::Hca a("a", as_a, cfg.reg, stats);
+  ib::Hca b("b", as_b, cfg.reg, stats);
+  ib::Fabric fabric(cfg.net, stats, faults);
 
   const u64 big = 64 * kMiB;
   const u64 addr_a = as_a.alloc(big);

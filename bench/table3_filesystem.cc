@@ -17,7 +17,7 @@ void run() {
 
   const ModelConfig cfg = ModelConfig::paper_defaults();
   Stats stats;
-  disk::LocalFs fs("node", cfg.disk, cfg.fs, &stats);
+  disk::LocalFs fs("node", cfg.disk, cfg.fs, stats);
   const u32 fd = fs.create("/bonnie").value();
   disk::LocalFile& f = fs.file(fd);
 

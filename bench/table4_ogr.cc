@@ -112,7 +112,7 @@ CaseResult run_case(Case kase) {
       // Per-process, as the paper reports them.
       out.registrations = d.get(stat::kMrRegister) / 4;
       out.reg_overhead_us =
-          static_cast<double>(d.get("ogr.prereg_ns")) / 1e3 / 4.0;
+          static_cast<double>(d.get(stat::kOgrPreregNs)) / 1e3 / 4.0;
     } else {
       out.mbps_sync = run.mbps;
     }

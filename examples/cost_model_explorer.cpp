@@ -35,7 +35,9 @@ static void show(const core::ActiveDataSieving& ads, u64 n, u64 piece,
 
 int main(int argc, char** argv) {
   const ModelConfig cfg = ModelConfig::paper_defaults();
-  core::ActiveDataSieving ads(cfg.disk, cfg.fs, cfg.mem);
+  Stats stats;
+  core::ActiveDataSieving ads(cfg.disk, cfg.fs, cfg.mem, core::AdsConfig{},
+                              stats);
 
   std::printf("ADS cost model (Table 1 parameters):\n"
               "  O_r/O_w %.1f us, O_seek %.1f us, O_lock %.1f us,\n"

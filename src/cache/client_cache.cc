@@ -18,11 +18,11 @@ const pvfs::FileMeta* ClientCache::lookup_attr(std::string_view name,
     it = attrs_.end();
   }
   if (it == attrs_.end()) {
-    if (stats_ != nullptr) stats_->add(stat::kPvfsCacheMisses);
+    stats_.add(stat::kPvfsCacheMisses);
     return nullptr;
   }
   it->second.lru = ++tick_;
-  if (stats_ != nullptr) stats_->add(stat::kPvfsCacheHits);
+  stats_.add(stat::kPvfsCacheHits);
   return &it->second.meta;
 }
 
@@ -57,13 +57,13 @@ void ClientCache::invalidate_name(std::string_view name) {
 // --- Data cache: shared plumbing -------------------------------------------
 
 void ClientCache::count_drop(DropWhy why, u64 n) {
-  if (n == 0 || stats_ == nullptr) return;
+  if (n == 0) return;
   switch (why) {
     case DropWhy::kInvalidation:
-      stats_->add(stat::kPvfsCacheInvalidations, static_cast<i64>(n));
+      stats_.add(stat::kPvfsCacheInvalidations, static_cast<i64>(n));
       break;
     case DropWhy::kLeaseRevoke:
-      stats_->add(stat::kPvfsCacheLeaseRevokes, static_cast<i64>(n));
+      stats_.add(stat::kPvfsCacheLeaseRevokes, static_cast<i64>(n));
       break;
     case DropWhy::kSilent:
       break;
@@ -196,7 +196,7 @@ bool ClientCache::read_lookup(pvfs::Handle h, const ExtentList& file,
                               std::vector<std::byte>* out) {
   if (!enabled()) return false;
   auto miss = [&] {
-    if (stats_ != nullptr) stats_->add(stat::kPvfsCacheMisses);
+    stats_.add(stat::kPvfsCacheMisses);
     return false;
   };
   auto dit = data_.find(h);
@@ -227,7 +227,7 @@ bool ClientCache::read_lookup(pvfs::Handle h, const ExtentList& file,
     }
   }
   for (Entry* e : used) e->lru = ++tick_;
-  if (stats_ != nullptr) stats_->add(stat::kPvfsCacheHits);
+  stats_.add(stat::kPvfsCacheHits);
   return true;
 }
 

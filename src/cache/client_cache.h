@@ -31,7 +31,8 @@
 // the user's data until flushed) and are never silently evicted.
 //
 // With CacheParams::enabled false every method returns without touching
-// state or counters, so cache-off runs stay byte-identical.
+// state or counters (the maps stay empty, so drop_file finds nothing), so
+// the client calls them unguarded and cache-off runs stay byte-identical.
 #pragma once
 
 #include <functional>
@@ -51,7 +52,7 @@ namespace pvfsib::cache {
 
 class ClientCache {
  public:
-  ClientCache(const CacheParams& params, Stats* stats)
+  ClientCache(const CacheParams& params, Stats& stats)
       : p_(params), stats_(stats) {}
 
   bool enabled() const { return p_.enabled; }
@@ -172,7 +173,7 @@ class ClientCache {
   u64 erase_attr(std::string_view name);
 
   CacheParams p_;
-  Stats* stats_;
+  Stats& stats_;
   std::map<std::string, AttrEntry, std::less<>> attrs_;
   std::map<pvfs::Handle, FileEntries> data_;
   u64 data_bytes_ = 0;

@@ -160,7 +160,6 @@ struct FsParams {
 // --- PVFS ---------------------------------------------------------------
 struct PvfsParams {
   u64 stripe_size = 64 * kKiB;       // PVFS default
-  u32 default_iod_count = 4;
   u32 max_list_pairs = 128;          // file accesses per list request (PVFS default)
   u64 fast_rdma_threshold = 64 * kKiB;  // eager path for transfers below this
   u64 fast_rdma_buffer = 64 * kKiB;     // pre-registered bounce buffer size

@@ -1,6 +1,6 @@
 // Counter registry used to reproduce the paper's profile tables (e.g.
 // Table 6: request counts, registration counts, cache hits, disk op counts,
-// communication volumes). Every subsystem takes a Stats* and bumps named
+// communication volumes). Every subsystem takes a Stats& and bumps named
 // counters; benches snapshot/diff them.
 //
 // Also hosts the shared measurement plane the load-generation subsystem and
@@ -223,6 +223,8 @@ inline constexpr const char* kDiskWrite = "disk.write";
 inline constexpr const char* kDiskSeek = "disk.seek";
 inline constexpr const char* kDiskReadBytes = "disk.read_bytes";
 inline constexpr const char* kDiskWriteBytes = "disk.write_bytes";
+inline constexpr const char* kFsLseek = "fs.lseek";
+inline constexpr const char* kFsLock = "fs.lock";
 inline constexpr const char* kCacheHitBytes = "disk.cache_hit_bytes";
 inline constexpr const char* kCacheMissBytes = "disk.cache_miss_bytes";
 inline constexpr const char* kPvfsRequest = "pvfs.request";
@@ -346,6 +348,8 @@ inline constexpr const char* kAdsExtraBytes = "ads.extra_bytes";
 inline constexpr const char* kOgrGroups = "ogr.groups";
 inline constexpr const char* kOgrFallbacks = "ogr.fallbacks";
 inline constexpr const char* kOgrOsQueries = "ogr.os_queries";
+// Registration cost (ns) the client charged its operations up front.
+inline constexpr const char* kOgrPreregNs = "ogr.prereg_ns";
 inline constexpr const char* kHoleQueries = "vmem.hole_query";
 }  // namespace stat
 

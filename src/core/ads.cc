@@ -35,7 +35,7 @@ std::vector<OrderedAccess> order_accesses(const ExtentList& accesses) {
 
 ActiveDataSieving::ActiveDataSieving(const DiskParams& disk,
                                      const FsParams& fs, const MemParams& mem,
-                                     AdsConfig cfg, Stats* stats)
+                                     AdsConfig cfg, Stats& stats)
     : disk_(disk), fs_(fs), mem_(mem), cfg_(cfg), stats_(stats) {}
 
 Duration ActiveDataSieving::t_read_separate(const ExtentList& accesses) const {
@@ -108,11 +108,9 @@ AdsDecision ActiveDataSieving::decide(const ExtentList& accesses,
     // Sieving a single access is pure overhead; otherwise trust the model.
     d.sieve = accesses.size() > 1 && d.t_sieve < d.t_separate;
   }
-  if (stats_ != nullptr) {
-    stats_->add(d.sieve ? stat::kAdsSieved : stat::kAdsSeparate);
-    if (d.sieve) {
-      stats_->add(stat::kAdsExtraBytes, static_cast<i64>(d.s_ds - d.s_req));
-    }
+  stats_.add(d.sieve ? stat::kAdsSieved : stat::kAdsSeparate);
+  if (d.sieve) {
+    stats_.add(stat::kAdsExtraBytes, static_cast<i64>(d.s_ds - d.s_req));
   }
   return d;
 }

@@ -39,8 +39,7 @@ struct AdsDecision;
 class ActiveDataSieving {
  public:
   ActiveDataSieving(const DiskParams& disk, const FsParams& fs,
-                    const MemParams& mem, AdsConfig cfg = {},
-                    Stats* stats = nullptr);
+                    const MemParams& mem, AdsConfig cfg, Stats& stats);
 
   // Decide for a request's access list (any order; internally sorted).
   //
@@ -97,7 +96,7 @@ class ActiveDataSieving {
   FsParams fs_;
   MemParams mem_;
   AdsConfig cfg_;
-  Stats* stats_;
+  Stats& stats_;
 };
 
 struct AdsDecision {

@@ -7,6 +7,10 @@ namespace pvfsib::core {
 
 namespace {
 
+// On optimistic failure, groups with at most this many buffers are
+// registered individually instead of paying an OS query.
+constexpr u64 kIndividualFallbackMax = 8;
+
 // Page-rounded extent of a memory segment.
 Extent page_extent(const MemSegment& s) {
   const u64 lo = page_floor(s.addr);
@@ -47,7 +51,7 @@ class CoverIndex {
 }  // namespace
 
 GroupRegistrar::GroupRegistrar(ib::MrCache& cache, const OsParams& os,
-                               OgrConfig cfg, Stats* stats)
+                               OgrConfig cfg, Stats& stats)
     : cache_(cache), hca_(cache.hca()), os_(os), cfg_(cfg), stats_(stats) {}
 
 bool GroupRegistrar::absorb_hole(u64 hole_pages) const {
@@ -100,8 +104,8 @@ bool GroupRegistrar::pin_region(const Extent& region, OgrOutcome& out) {
 bool GroupRegistrar::recover_group(const Extent& group,
                                    std::span<const Extent> members_sorted,
                                    OgrOutcome& out) {
-  if (stats_ != nullptr) stats_->add(stat::kOgrFallbacks);
-  if (members_sorted.size() <= cfg_.individual_fallback_max) {
+  stats_.add(stat::kOgrFallbacks);
+  if (members_sorted.size() <= kIndividualFallbackMax) {
     // Cheap path: pin the few buffers as given.
     for (const Extent& m : members_sorted) {
       if (!pin_region(m, out)) return false;
@@ -112,7 +116,7 @@ bool GroupRegistrar::recover_group(const Extent& group,
   const vmem::AddressSpace& as = hca_.address_space();
   const ExtentList mapped = as.allocated_within(group);
   ++out.os_queries;
-  if (stats_ != nullptr) stats_->add(stat::kOgrOsQueries);
+  stats_.add(stat::kOgrOsQueries);
   switch (cfg_.query) {
     case HoleQuery::kKernelSyscall:
       out.cost += os_.holequery_cost(mapped.size());
@@ -136,10 +140,6 @@ bool GroupRegistrar::recover_group(const Extent& group,
     }
   }
   return true;
-}
-
-OgrOutcome GroupRegistrar::acquire(std::span<const MemSegment> segments) {
-  return acquire(segments, cfg_.strategy);
 }
 
 OgrOutcome GroupRegistrar::acquire(std::span<const MemSegment> segments,
@@ -178,9 +178,7 @@ OgrOutcome GroupRegistrar::acquire(std::span<const MemSegment> segments,
       members = coalesce(members);
 
       const ExtentList groups = plan_groups(segments);
-      if (stats_ != nullptr) {
-        stats_->add(stat::kOgrGroups, static_cast<i64>(groups.size()));
-      }
+      stats_.add(stat::kOgrGroups, static_cast<i64>(groups.size()));
       for (const Extent& g : groups) {
         const size_t keys_before = out.keys.size();
         ib::MrCache::Lookup lk = cache_.acquire(g.offset, g.length);

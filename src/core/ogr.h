@@ -47,11 +47,7 @@ enum class HoleQuery {
 };
 
 struct OgrConfig {
-  // On optimistic failure, groups with at most this many buffers are
-  // registered individually instead of paying an OS query.
-  u64 individual_fallback_max = 8;
   HoleQuery query = HoleQuery::kKernelSyscall;
-  RegStrategy strategy = RegStrategy::kOgr;
 };
 
 struct OgrOutcome {
@@ -72,15 +68,13 @@ struct OgrOutcome {
 class GroupRegistrar {
  public:
   // `cache` is the client's pin-down cache; `os` provides hole-query costs.
-  GroupRegistrar(ib::MrCache& cache, const OsParams& os, OgrConfig cfg = {},
-                 Stats* stats = nullptr);
+  GroupRegistrar(ib::MrCache& cache, const OsParams& os, OgrConfig cfg,
+                 Stats& stats);
 
-  // Pin all segments and produce the SGE list. `strategy` overrides the
-  // configured registration strategy for this call (the transfer engines
-  // pick per-policy).
-  OgrOutcome acquire(std::span<const MemSegment> segments);
+  // Pin all segments and produce the SGE list, by OGR unless `strategy`
+  // names another scheme (the transfer engines pick per-policy).
   OgrOutcome acquire(std::span<const MemSegment> segments,
-                     RegStrategy strategy);
+                     RegStrategy strategy = RegStrategy::kOgr);
 
   // Application-aware registration (Section 4.2.1, second variant): the
   // application declares the actual allocation its buffers came from (e.g.
@@ -117,7 +111,7 @@ class GroupRegistrar {
   ib::Hca& hca_;
   OsParams os_;
   OgrConfig cfg_;
-  Stats* stats_;
+  Stats& stats_;
 };
 
 }  // namespace pvfsib::core

@@ -14,7 +14,7 @@ namespace pvfsib::disk {
 
 class Disk {
  public:
-  Disk(const DiskParams& params, Stats* stats)
+  Disk(const DiskParams& params, Stats& stats)
       : params_(params), stats_(stats) {}
 
   // Service a media read/write of `len` bytes at absolute disk position
@@ -31,19 +31,17 @@ class Disk {
     if (pos != head_) {
       const u64 dist = pos > head_ ? pos - head_ : head_ - pos;
       cost += params_.seek_cost(dist);
-      if (stats_ != nullptr) stats_->add(stat::kDiskSeek);
+      stats_.add(stat::kDiskSeek);
     }
     cost += transfer_time(len, params_.media_bw(len, write));
     head_ = pos + len;
-    if (stats_ != nullptr) {
-      stats_->add(write ? stat::kDiskWriteBytes : stat::kDiskReadBytes,
-                  static_cast<i64>(len));
-    }
+    stats_.add(write ? stat::kDiskWriteBytes : stat::kDiskReadBytes,
+               static_cast<i64>(len));
     return cost;
   }
 
   DiskParams params_;
-  Stats* stats_;
+  Stats& stats_;
   u64 head_ = 0;
 };
 

@@ -11,7 +11,7 @@ namespace pvfsib::disk {
 
 Duration LocalFile::seek_syscall_cost(u64 off) {
   if (off == logical_pos_) return Duration::zero();
-  if (fs_->stats() != nullptr) fs_->stats()->add("fs.lseek");
+  fs_->stats().add(stat::kFsLseek);
   return fs_->fs_params().seek_overhead;
 }
 
@@ -26,7 +26,7 @@ Duration LocalFile::writeback(const std::vector<PageKey>& pages) {
 
 Timed<u64> LocalFile::charge_read(u64 off, u64 len, IoOpts opts) {
   Duration cost = fs_->fs_params().read_overhead + seek_syscall_cost(off);
-  if (fs_->stats() != nullptr) fs_->stats()->add(stat::kDiskRead);
+  fs_->stats().add(stat::kDiskRead);
 
   const u64 n =
       off >= content_.size() ? 0 : std::min<u64>(len, content_.size() - off);
@@ -59,11 +59,8 @@ Timed<u64> LocalFile::charge_read(u64 off, u64 len, IoOpts opts) {
                                              (hi - lo) / kPageSize,
                                              /*dirty=*/false));
       }
-      if (fs_->stats() != nullptr) {
-        fs_->stats()->add(stat::kCacheHitBytes, static_cast<i64>(hit_bytes));
-        fs_->stats()->add(stat::kCacheMissBytes,
-                          static_cast<i64>(n - hit_bytes));
-      }
+      fs_->stats().add(stat::kCacheHitBytes, static_cast<i64>(hit_bytes));
+      fs_->stats().add(stat::kCacheMissBytes, static_cast<i64>(n - hit_bytes));
     }
   }
   logical_pos_ = off + n;
@@ -72,7 +69,7 @@ Timed<u64> LocalFile::charge_read(u64 off, u64 len, IoOpts opts) {
 
 Duration LocalFile::charge_write(u64 off, u64 len, IoOpts opts) {
   Duration cost = fs_->fs_params().write_overhead + seek_syscall_cost(off);
-  if (fs_->stats() != nullptr) fs_->stats()->add(stat::kDiskWrite);
+  fs_->stats().add(stat::kDiskWrite);
 
   if (len > 0) {
     content_.grow_to(off + len);
@@ -285,7 +282,7 @@ Result<LocalFile::RangeLock> LocalFile::lock_range(const Extent& range) {
   }
   const u64 id = next_lock_id_++;
   range_locks_[id] = range;
-  if (fs_->stats() != nullptr) fs_->stats()->add("fs.lock");
+  fs_->stats().add(stat::kFsLock);
   return RangeLock{id, fs_->fs_params().lock_overhead};
 }
 
@@ -306,7 +303,7 @@ bool LocalFile::range_locked(const Extent& range) const {
 // --- LocalFs ---------------------------------------------------------------
 
 LocalFs::LocalFs(std::string name, const DiskParams& disk_params,
-                 const FsParams& fs_params, Stats* stats, u64 checksum_block)
+                 const FsParams& fs_params, Stats& stats, u64 checksum_block)
     : name_(std::move(name)),
       disk_params_(disk_params),
       fs_params_(fs_params),

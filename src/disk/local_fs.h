@@ -148,7 +148,7 @@ class LocalFile {
 class LocalFs {
  public:
   LocalFs(std::string name, const DiskParams& disk_params,
-          const FsParams& fs_params, Stats* stats,
+          const FsParams& fs_params, Stats& stats,
           u64 checksum_block = ReplicationParams{}.integrity_block_bytes);
 
   Result<u32> create(const std::string& path);
@@ -166,7 +166,7 @@ class LocalFs {
   const FsParams& fs_params() const { return fs_params_; }
   const DiskParams& disk_params() const { return disk_params_; }
   u64 checksum_block() const { return checksum_block_; }
-  Stats* stats() { return stats_; }
+  Stats& stats() { return stats_; }
   const std::string& name() const { return name_; }
 
  private:
@@ -175,7 +175,7 @@ class LocalFs {
   std::string name_;
   DiskParams disk_params_;
   FsParams fs_params_;
-  Stats* stats_;
+  Stats& stats_;
   u64 checksum_block_;
   Disk disk_;
   PageCache cache_;

@@ -4,20 +4,20 @@
 
 namespace pvfsib::fault {
 
-Injector::Injector(const FaultConfig& cfg, Stats* stats)
+Injector::Injector(const FaultConfig& cfg, Stats& stats)
     : cfg_(cfg),
       stats_(stats),
       enabled_(cfg.enabled()),
       rng_(cfg.seed),
       consumed_(cfg.schedule.size(), false) {
-  if (!enabled_ || stats_ == nullptr) return;
+  if (!enabled_) return;
   // Crashes are injected by construction of the schedule, not by a later
   // draw; count them up front so fault.injected.iod_crash reflects the
   // schedule even if no request ever lands in a down window.
   for (const FaultEvent& ev : cfg_.schedule) {
-    if (ev.kind == FaultKind::kIodCrash) stats_->add(stat::kFaultIodCrash);
+    if (ev.kind == FaultKind::kIodCrash) stats_.add(stat::kFaultIodCrash);
     if (ev.kind == FaultKind::kManagerCrash) {
-      stats_->add(stat::kFaultManagerCrash);
+      stats_.add(stat::kFaultManagerCrash);
     }
   }
 }
@@ -31,11 +31,11 @@ Duration Injector::perturb_transfer(TimePoint at, u64 bytes,
     // Corruption/loss on the wire: the RC transport times out and resends,
     // so the consumer sees success, late.
     extra += cfg_.retransmit_timeout + transfer_time(bytes, mib_per_sec);
-    if (stats_ != nullptr) stats_->add(stat::kFaultRetransmit);
+    stats_.add(stat::kFaultRetransmit);
   }
   if (cfg_.latency_spike_rate > 0.0 && rng_.chance(cfg_.latency_spike_rate)) {
     extra += cfg_.latency_spike;
-    if (stats_ != nullptr) stats_->add(stat::kFaultLatencySpike);
+    stats_.add(stat::kFaultLatencySpike);
   }
   return extra;
 }
@@ -43,7 +43,7 @@ Duration Injector::perturb_transfer(TimePoint at, u64 bytes,
 bool Injector::completion_error() {
   if (!enabled_ || cfg_.completion_error_rate <= 0.0) return false;
   if (!rng_.chance(cfg_.completion_error_rate)) return false;
-  if (stats_ != nullptr) stats_->add(stat::kFaultCompletionError);
+  stats_.add(stat::kFaultCompletionError);
   return true;
 }
 
@@ -72,15 +72,15 @@ bool Injector::consume_scheduled(FaultKind kind, u32 target, TimePoint at) {
 bool Injector::request_lost(u32 iod, TimePoint at) {
   if (!enabled_) return false;
   if (iod_down(iod, at)) {
-    if (stats_ != nullptr) stats_->add(stat::kFaultIodDownDrop);
+    stats_.add(stat::kFaultIodDownDrop);
     return true;
   }
   if (consume_scheduled(FaultKind::kDropRequest, iod, at)) {
-    if (stats_ != nullptr) stats_->add(stat::kFaultRequestDrop);
+    stats_.add(stat::kFaultRequestDrop);
     return true;
   }
   if (cfg_.request_drop_rate > 0.0 && rng_.chance(cfg_.request_drop_rate)) {
-    if (stats_ != nullptr) stats_->add(stat::kFaultRequestDrop);
+    stats_.add(stat::kFaultRequestDrop);
     return true;
   }
   return false;
@@ -89,15 +89,15 @@ bool Injector::request_lost(u32 iod, TimePoint at) {
 bool Injector::reply_lost(u32 iod, TimePoint at) {
   if (!enabled_) return false;
   if (iod_down(iod, at)) {
-    if (stats_ != nullptr) stats_->add(stat::kFaultIodDownDrop);
+    stats_.add(stat::kFaultIodDownDrop);
     return true;
   }
   if (consume_scheduled(FaultKind::kDropReply, iod, at)) {
-    if (stats_ != nullptr) stats_->add(stat::kFaultReplyDrop);
+    stats_.add(stat::kFaultReplyDrop);
     return true;
   }
   if (cfg_.reply_drop_rate > 0.0 && rng_.chance(cfg_.reply_drop_rate)) {
-    if (stats_ != nullptr) stats_->add(stat::kFaultReplyDrop);
+    stats_.add(stat::kFaultReplyDrop);
     return true;
   }
   return false;
@@ -116,7 +116,7 @@ bool Injector::manager_down(TimePoint at, u32 shard) const {
 bool Injector::meta_request_lost(TimePoint at, bool primary, u32 shard) {
   if (!enabled_) return false;
   if (primary && manager_down(at, shard)) {
-    if (stats_ != nullptr) stats_->add(stat::kFaultManagerDownDrop);
+    stats_.add(stat::kFaultManagerDownDrop);
     return true;
   }
   // Scheduled meta drops match on kind, shard and time (unsharded planes
@@ -126,13 +126,13 @@ bool Injector::meta_request_lost(TimePoint at, bool primary, u32 shard) {
     if (!consumed_[i] && ev.kind == FaultKind::kDropMetaRequest &&
         ev.target == shard && at >= ev.at) {
       consumed_[i] = true;
-      if (stats_ != nullptr) stats_->add(stat::kFaultMetaRequestDrop);
+      stats_.add(stat::kFaultMetaRequestDrop);
       return true;
     }
   }
   if (cfg_.meta_request_drop_rate > 0.0 &&
       rng_.chance(cfg_.meta_request_drop_rate)) {
-    if (stats_ != nullptr) stats_->add(stat::kFaultMetaRequestDrop);
+    stats_.add(stat::kFaultMetaRequestDrop);
     return true;
   }
   return false;
@@ -143,7 +143,7 @@ bool Injector::migration_target_crashed(u32 shard, TimePoint at) {
   if (!consume_scheduled(FaultKind::kMigrationTargetCrash, shard, at)) {
     return false;
   }
-  if (stats_ != nullptr) stats_->add(stat::kFaultMigrationTargetCrash);
+  stats_.add(stat::kFaultMigrationTargetCrash);
   return true;
 }
 
@@ -176,7 +176,7 @@ bool Injector::lost_write(u32 iod, TimePoint at) {
       rng_.chance(cfg_.lost_write_rate)) {
     fire = true;
   }
-  if (fire && stats_ != nullptr) stats_->add(stat::kFaultLostWrite);
+  if (fire) stats_.add(stat::kFaultLostWrite);
   return fire;
 }
 
@@ -187,7 +187,7 @@ bool Injector::torn_write(u32 iod, TimePoint at) {
       rng_.chance(cfg_.torn_write_rate)) {
     fire = true;
   }
-  if (fire && stats_ != nullptr) stats_->add(stat::kFaultTornWrite);
+  if (fire) stats_.add(stat::kFaultTornWrite);
   return fire;
 }
 
@@ -196,7 +196,7 @@ bool Injector::write_bit_flip(u32 iod, TimePoint at) {
   (void)at;
   if (!enabled_ || cfg_.bit_flip_rate <= 0.0) return false;
   if (!rng_.chance(cfg_.bit_flip_rate)) return false;
-  if (stats_ != nullptr) stats_->add(stat::kFaultBitFlip);
+  stats_.add(stat::kFaultBitFlip);
   return true;
 }
 

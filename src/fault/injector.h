@@ -14,9 +14,11 @@
 // what makes recovery behaviour unit-testable.
 //
 // The injector also collects fault-domain observability: per-round latency
-// samples (for p99 under faults) and the fault.injected.* counters. With a
-// trivial config enabled() is false and no layer consults the injector at
-// all, keeping zero-fault runs byte-identical to seed.
+// samples (for p99 under faults) and the fault.injected.* counters. Every
+// layer of a cluster holds the injector and calls its hooks. With a trivial
+// config enabled() is false and every hook answers "no fault" without a
+// draw or a counter, and install_*_hooks schedule nothing, so zero-fault
+// runs stay byte-identical to a build without the fault plane.
 #pragma once
 
 #include <functional>
@@ -35,7 +37,7 @@ namespace pvfsib::fault {
 
 class Injector {
  public:
-  Injector(const FaultConfig& cfg, Stats* stats);
+  Injector(const FaultConfig& cfg, Stats& stats);
 
   bool enabled() const { return enabled_; }
   const FaultConfig& config() const { return cfg_; }
@@ -140,7 +142,7 @@ class Injector {
   bool consume_scheduled(FaultKind kind, u32 target, TimePoint at);
 
   FaultConfig cfg_;
-  Stats* stats_;
+  Stats& stats_;
   bool enabled_;
   Rng rng_;
   std::vector<bool> consumed_;  // parallel to cfg_.schedule

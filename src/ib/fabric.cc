@@ -7,26 +7,22 @@
 
 namespace pvfsib::ib {
 
-Fabric::Fabric(const NetParams& params, Stats* stats, fault::Injector* faults)
+Fabric::Fabric(const NetParams& params, Stats& stats, fault::Injector& faults)
     : params_(params), stats_(stats), faults_(faults) {}
 
 TimePoint Fabric::send_control(Hca& src, Hca& dst, u64 bytes, TimePoint ready,
                                ControlKind kind) {
   // Small messages ride the send/recv (channel) path.
-  Duration wire = transfer_time(bytes, params_.send_bw);
-  if (faults_ != nullptr && faults_->enabled()) {
-    wire += faults_->perturb_transfer(ready, bytes, params_.send_bw);
-  }
+  const Duration wire = transfer_time(bytes, params_.send_bw) +
+                        faults_.perturb_transfer(ready, bytes, params_.send_bw);
   const TimePoint start =
       max(src.nic().earliest_start(ready), dst.nic().earliest_start(ready));
   src.nic().acquire(start, wire);
   dst.nic().acquire(start, wire);
-  if (stats_ != nullptr) {
-    stats_->add(stat::kSend);
-    stats_->add(kind == ControlKind::kInterClient ? stat::kNetBytesInterClient
-                                                  : stat::kNetBytesControl,
-                static_cast<i64>(bytes));
-  }
+  stats_.add(stat::kSend);
+  stats_.add(kind == ControlKind::kInterClient ? stat::kNetBytesInterClient
+                                               : stat::kNetBytesControl,
+             static_cast<i64>(bytes));
   return start + wire + params_.send_latency;
 }
 
@@ -69,7 +65,7 @@ TransferResult Fabric::rdma_common(Op op, Hca& local,
     return out;
   }
 
-  if (faults_ != nullptr && faults_->enabled() && faults_->completion_error()) {
+  if (faults_.completion_error()) {
     // The WR was posted and errored on the HCA: no payload moves, no wire
     // time is occupied, and the consumer sees a retryable failure.
     out.status = unavailable("work request completed in error (injected)");
@@ -92,10 +88,8 @@ TransferResult Fabric::rdma_common(Op op, Hca& local,
 
   const double bw =
       op == Op::kWrite ? params_.rdma_write_bw : params_.rdma_read_bw;
-  Duration wire = transfer_time(total, bw);
-  if (faults_ != nullptr && faults_->enabled()) {
-    wire += faults_->perturb_transfer(ready, total, bw);
-  }
+  const Duration wire =
+      transfer_time(total, bw) + faults_.perturb_transfer(ready, total, bw);
   const TimePoint start = max(local.nic().earliest_start(ready),
                               remote.nic().earliest_start(ready));
   local.nic().acquire(start, wire);
@@ -104,10 +98,8 @@ TransferResult Fabric::rdma_common(Op op, Hca& local,
   out.status = Status::ok();
   out.bytes = total;
   out.complete = start + wire + fixed_overheads(op, sges, sges_per_wr);
-  if (stats_ != nullptr) {
-    stats_->add(op == Op::kWrite ? stat::kRdmaWrite : stat::kRdmaRead);
-    stats_->add(stat::kNetBytesData, static_cast<i64>(total));
-  }
+  stats_.add(op == Op::kWrite ? stat::kRdmaWrite : stat::kRdmaRead);
+  stats_.add(stat::kNetBytesData, static_cast<i64>(total));
   return out;
 }
 

@@ -44,10 +44,9 @@ struct TransferResult {
 
 class Fabric {
  public:
-  // `faults` (optional) perturbs transfers: retransmit cost, latency
-  // spikes, completion errors. A null or disabled injector is free.
-  Fabric(const NetParams& params, Stats* stats,
-         fault::Injector* faults = nullptr);
+  // `faults` perturbs transfers: retransmit cost, latency spikes,
+  // completion errors.
+  Fabric(const NetParams& params, Stats& stats, fault::Injector& faults);
 
   // Channel-semantics message (send/recv). Control messages carry protocol
   // headers; their payload is not modeled byte-for-byte, only timed.
@@ -96,8 +95,8 @@ class Fabric {
                            u32 sges_per_wr) const;
 
   NetParams params_;
-  Stats* stats_;
-  fault::Injector* faults_;
+  Stats& stats_;
+  fault::Injector& faults_;
 };
 
 }  // namespace pvfsib::ib

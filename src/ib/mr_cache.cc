@@ -31,7 +31,7 @@ MrCache::Lookup MrCache::acquire(u64 addr, u64 len) {
   }
 
   // Miss: register the page-rounded range.
-  if (stats_ != nullptr) stats_->add(stat::kMrCacheMiss);
+  stats_.add(stat::kMrCacheMiss);
   RegAttempt reg = hca_.register_memory(lo, hi - lo);
   out.cost = reg.cost;
   if (!reg.ok()) {
@@ -56,7 +56,7 @@ MrCache::Lookup MrCache::acquire(u64 addr, u64 len) {
 }
 
 MrCache::Lookup MrCache::hit_lookup(Entry& e) {
-  if (stats_ != nullptr) stats_->add(stat::kMrCacheHit);
+  stats_.add(stat::kMrCacheHit);
   ++e.refs;
   touch(e.key);
   Lookup out;
@@ -149,7 +149,7 @@ Duration MrCache::evict_to_capacity() {
         break;
       }
     }
-    if (stats_ != nullptr) stats_->add(stat::kMrCacheEvict);
+    stats_.add(stat::kMrCacheEvict);
   }
   return cost;
 }

@@ -62,7 +62,7 @@ class MrCache {
 
   Hca& hca_;
   RegParams params_;
-  Stats* stats_;
+  Stats& stats_;
   std::multimap<u64, u32> by_start_;  // MR start addr -> key
   std::map<u32, Entry> by_key_;
   std::map<u32, LruList::iterator> lru_pos_;

@@ -5,7 +5,7 @@
 namespace pvfsib::ib {
 
 Hca::Hca(std::string name, vmem::AddressSpace& as, const RegParams& params,
-         Stats* stats)
+         Stats& stats)
     : name_(std::move(name)),
       as_(as),
       params_(params),
@@ -46,10 +46,8 @@ RegAttempt Hca::register_memory(u64 addr, u64 len) {
   out.status = Status::ok();
   out.key = key;
   out.cost = params_.reg_cost(hi - lo);
-  if (stats_ != nullptr) {
-    stats_->add(stat::kMrRegister);
-    stats_->add(stat::kMrRegisteredBytes, static_cast<i64>(hi - lo));
-  }
+  stats_.add(stat::kMrRegister);
+  stats_.add(stat::kMrRegisteredBytes, static_cast<i64>(hi - lo));
   return out;
 }
 
@@ -59,7 +57,7 @@ Duration Hca::deregister(u32 key) {
   const u64 len = it->second.range.length;
   bytes_registered_ -= len;
   regions_.erase(it);
-  if (stats_ != nullptr) stats_->add(stat::kMrDeregister);
+  stats_.add(stat::kMrDeregister);
   return params_.dereg_cost(len);
 }
 

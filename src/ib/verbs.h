@@ -48,7 +48,7 @@ struct RegAttempt {
 class Hca {
  public:
   Hca(std::string name, vmem::AddressSpace& as, const RegParams& params,
-      Stats* stats);
+      Stats& stats);
 
   // Register [addr, addr+len). Fails with kPermissionDenied if any page in
   // the page-rounded range is unmapped; fails with kResourceExhausted past
@@ -70,7 +70,7 @@ class Hca {
   sim::Resource& nic() { return nic_; }
   const std::string& name() const { return name_; }
   const RegParams& reg_params() const { return params_; }
-  Stats* stats() { return stats_; }
+  Stats& stats() { return stats_; }
 
   u64 regions_live() const { return regions_.size(); }
   u64 bytes_registered() const { return bytes_registered_; }
@@ -82,7 +82,7 @@ class Hca {
   std::string name_;
   vmem::AddressSpace& as_;
   RegParams params_;
-  Stats* stats_;
+  Stats& stats_;
   sim::Resource nic_;
   std::map<u32, MemoryRegion> regions_;
   u64 bytes_registered_ = 0;

@@ -122,7 +122,7 @@ struct Client::OpState {
 
 Client::Client(u32 id, const ModelConfig& cfg, sim::Engine& engine,
                ib::Fabric& fabric, const MetaRegistry& registry,
-               std::vector<Iod*> iods, Stats* stats, fault::Injector* faults)
+               std::vector<Iod*> iods, Stats& stats, fault::Injector& faults)
     : id_(id),
       cfg_(cfg),
       engine_(engine),
@@ -179,34 +179,28 @@ Result<OpenFile> Client::create(const std::string& name, u64 stripe_size,
   rq.replication_factor = cfg_.replication.factor;
   MetaReply r = meta_roundtrip(rq);
   if (!r.status.is_ok()) return r.status;
-  if (ccache_.enabled()) ccache_.put_attr(r.meta, now_);
+  ccache_.put_attr(r.meta, now_);
   return OpenFile{r.meta};
 }
 
 Result<OpenFile> Client::open(const std::string& name) {
-  if (ccache_.enabled()) {
-    // Attribute-cache short-circuit: a valid entry answers the open with
-    // no metadata round-trip and no simulated time.
-    if (const FileMeta* m =
-            ccache_.lookup_attr(name, max(now_, engine_.now()))) {
-      return OpenFile{*m};
-    }
+  // Attribute-cache short-circuit: a valid entry answers the open with no
+  // metadata round-trip and no simulated time.
+  if (const FileMeta* m = ccache_.lookup_attr(name, max(now_, engine_.now()))) {
+    return OpenFile{*m};
   }
   MetaRequest rq;
   rq.op = MetaOp::kOpen;
   rq.name = name;
   MetaReply r = meta_roundtrip(rq);
   if (!r.status.is_ok()) return r.status;
-  if (ccache_.enabled()) ccache_.put_attr(r.meta, now_);
+  ccache_.put_attr(r.meta, now_);
   return OpenFile{r.meta};
 }
 
 Result<FileMeta> Client::stat(const std::string& name) {
-  if (ccache_.enabled()) {
-    if (const FileMeta* m =
-            ccache_.lookup_attr(name, max(now_, engine_.now()))) {
-      return *m;
-    }
+  if (const FileMeta* m = ccache_.lookup_attr(name, max(now_, engine_.now()))) {
+    return *m;
   }
   // stat is an open-shaped metadata round-trip.
   MetaRequest rq;
@@ -214,7 +208,7 @@ Result<FileMeta> Client::stat(const std::string& name) {
   rq.name = name;
   MetaReply r = meta_roundtrip(rq);
   if (!r.status.is_ok()) return r.status;
-  if (ccache_.enabled()) ccache_.put_attr(r.meta, now_);
+  ccache_.put_attr(r.meta, now_);
   return r.meta;
 }
 
@@ -226,15 +220,13 @@ Status Client::remove(const std::string& name) {
   rq.name = name;
   Status r = meta_roundtrip(rq).status;
   PVFSIB_RETURN_IF_ERROR(r);
-  if (ccache_.enabled()) {
-    // The manager's kRemoved lease revoke (when a bus is attached) already
-    // swept every subscribed cache, ours included, synchronously inside
-    // the round-trip. This local pass is the bus-less fallback — both
-    // calls are idempotent, so double delivery drops nothing twice.
-    ccache_.invalidate_name(name);
-    ccache_.on_revoke(LeaseRevoke{LeaseRevokeReason::kRemoved, 0, 1, name,
-                                  meta.value().handle});
-  }
+  // The manager's kRemoved lease revoke (when a bus is attached) already
+  // swept every subscribed cache, ours included, synchronously inside the
+  // round-trip. This local pass is the bus-less fallback — both calls are
+  // idempotent, so double delivery drops nothing twice.
+  ccache_.invalidate_name(name);
+  ccache_.on_revoke(LeaseRevoke{LeaseRevokeReason::kRemoved, 0, 1, name,
+                                meta.value().handle});
   // The manager that served the remove tells every iod to unlink its stripe
   // file; the client returns once all acknowledgements are in.
   Manager& mgr = meta_.route(name);
@@ -366,9 +358,7 @@ void Client::start_op(const OpenFile& file, const core::ListIoRequest& req,
       op->done(IoResult::instant(op->prereg.status, 0, op->start));
       return;
     }
-    if (stats_ != nullptr) {
-      stats_->add("ogr.prereg_ns", op->prereg.cost.as_ns());
-    }
+    stats_.add(stat::kOgrPreregNs, op->prereg.cost.as_ns());
     op->phases.registration += op->prereg.cost;
   }
   op->launch = op->start + op->prereg.cost;
@@ -620,15 +610,11 @@ IoResult Client::flush(const OpenFile& file) {
 
 IoResult Client::close(const OpenFile& file) {
   IoResult r = flush(file);
-  if (ccache_.enabled()) ccache_.drop_file(file.meta.handle);
+  ccache_.drop_file(file.meta.handle);
   return r;
 }
 
 // --- Round chains ---------------------------------------------------------
-
-bool Client::faulty() const {
-  return faults_ != nullptr && faults_->enabled();
-}
 
 u32 Client::current_target(const OpState& op, u32 iod_idx) const {
   const std::vector<u32>& set = op.replica_sets[iod_idx];
@@ -670,7 +656,7 @@ u32 Client::pick_read_replica(const OpState& op, u32 iod_idx) {
       v.replica_versions[0] < v.latest) {
     // The primary would have served stale data; placement skipped it
     // without burning a failover.
-    if (stats_ != nullptr) stats_->add(stat::kPvfsStaleReadsAvoided);
+    stats_.add(stat::kPvfsStaleReadsAvoided);
     sim::Trace::instance().emitf(
         engine_.now(), hca_.name(),
         "read placement: stripe %u primary iod%u stale (v%llu < v%llu), "
@@ -695,11 +681,9 @@ void Client::maybe_read_repair(std::shared_ptr<OpState> op, u32 iod_idx,
   Manager& authority = meta_.authority(op->file.meta.handle);
   authority.note_replica_version(op->file.meta.handle, stripe, set[serving],
                                  serving_version);
-  if (ccache_.enabled()) {
-    // Anything we cached below the observed serving version is provably
-    // stale now; drop it eagerly instead of waiting for a hit-time check.
-    ccache_.note_version(op->file.meta.handle, stripe, serving_version);
-  }
+  // Anything we cached below the observed serving version is provably
+  // stale now; drop it eagerly instead of waiting for a hit-time check.
+  ccache_.note_version(op->file.meta.handle, stripe, serving_version);
   if (serving_version == 0) return;
   // Read-repair: every replica whose recorded version trails the one just
   // served gets an async repair write of the bytes just read. That heals
@@ -746,7 +730,7 @@ void Client::schedule_repair_write(std::shared_ptr<OpState> op, u32 iod_idx,
       static_cast<unsigned long long>(r.bytes));
   engine_.schedule_at(arrive, [this, op, iod_idx, round_idx, target, lh,
                                version, data, arrive] {
-    if (faulty() && faults_->iod_down(target, arrive)) {
+    if (faults_.enabled() && faults_.iod_down(target, arrive)) {
       // The stale replica is (still) down: drop the repair silently;
       // resync or a later read heals it.
       return;
@@ -758,7 +742,7 @@ void Client::schedule_repair_write(std::shared_ptr<OpState> op, u32 iod_idx,
     // round's byte range, while the version covers everything written up
     // to it — marking the replica current after a partial heal would
     // misroute future reads. Only write acks and resync mark current.
-    if (stats_ != nullptr) stats_->add(stat::kPvfsReadRepairs);
+    stats_.add(stat::kPvfsReadRepairs);
   });
 }
 
@@ -802,10 +786,8 @@ bool Client::lost_write_detected(std::shared_ptr<OpState> op, u32 iod_idx,
   fail_over(op, iod_idx, round_idx, tr, t, [&](u32 from_iod, u32 to_iod) {
     authority.note_replica_observed(op->file.meta.handle, stripe, from_iod,
                                     serving_version);
-    if (stats_ != nullptr) {
-      stats_->add(stat::kPvfsCorruptionsDetected);
-      stats_->add(stat::kPvfsCorruptReadsFailedOver);
-    }
+    stats_.add(stat::kPvfsCorruptionsDetected);
+    stats_.add(stat::kPvfsCorruptReadsFailedOver);
     sim::Trace::instance().emitf(
         t, hca_.name(),
         "read round %zu: iod%u header v%llu but acked v%llu (LOST WRITE), "
@@ -835,7 +817,7 @@ void Client::note_rtt(u32 iod_id, Duration sample) {
 }
 
 Duration Client::iod_timeout(u32 iod_id) const {
-  const FaultConfig& fc = faults_->config();
+  const FaultConfig& fc = faults_.config();
   const RttEstimate& e = rtt_[iod_id];
   if (!e.seeded) return fc.round_timeout;
   Duration t = e.srtt + e.rttvar * fc.timeout_var_mult;
@@ -844,7 +826,7 @@ Duration Client::iod_timeout(u32 iod_id) const {
 }
 
 Duration Client::round_timeout_for(const OpState& op, u32 iod_idx) const {
-  const FaultConfig& fc = faults_->config();
+  const FaultConfig& fc = faults_.config();
   if (!fc.adaptive_timeout) return fc.round_timeout;
   if (op.is_write && op.replicated) {
     // The round settles on a quorum of replicas; the slowest estimate
@@ -866,13 +848,11 @@ void Client::issue_round(std::shared_ptr<OpState> op, u32 iod_idx,
   assert(ch.next_issue < ch.floor + op->window);
   const size_t round_idx = ch.next_issue++;
   ++ch.inflight;
-  if (op->window > 1 && stats_ != nullptr) {
-    stats_->set_max(stat::kPvfsRoundsInflightMax, ch.inflight);
-  }
+  if (op->window > 1) stats_.set_max(stat::kPvfsRoundsInflightMax, ch.inflight);
   std::shared_ptr<RoundTry> tr;
   // Recovery/fan state exists under a fault plane, and also for replicated
   // writes on a healthy run (the quorum count needs per-replica acks).
-  if (faulty() || (op->replicated && op->is_write)) {
+  if (faults_.enabled() || (op->replicated && op->is_write)) {
     tr = std::make_shared<RoundTry>();
     tr->seq = next_round_seq_++;
     tr->first_issue = t;
@@ -933,11 +913,11 @@ void Client::round_done(std::shared_ptr<OpState> op, u32 iod_idx,
   // gone.
   if (more && ch.inflight < op->window &&
       ch.next_issue < ch.floor + op->window &&
-      (op->window == 1 || ch.stalled || faulty())) {
+      (op->window == 1 || ch.stalled || faults_.enabled())) {
     if (ch.stalled) {
       ch.stalled = false;
       op->phases.stall += t - ch.blocked_since;
-      if (stats_ != nullptr) stats_->add(stat::kPvfsPipelineStalls);
+      stats_.add(stat::kPvfsPipelineStalls);
     }
     issue_round(op, iod_idx, t);
   }
@@ -983,7 +963,7 @@ void Client::arm_round_timer(std::shared_ptr<OpState> op, u32 iod_idx,
       engine_.schedule_at(deadline, [this, op, iod_idx, round_idx, tr] {
         tr->timer_armed = false;
         if (tr->settled) return;
-        if (stats_ != nullptr) stats_->add(stat::kPvfsTimeouts);
+        stats_.add(stat::kPvfsTimeouts);
         sim::Trace::instance().emitf(
             engine_.now(), hca_.name(),
             "iod%u round %zu attempt %u timed out",
@@ -1008,12 +988,12 @@ void Client::settle_round(std::shared_ptr<OpState> op, u32 iod_idx,
     disarm_timer(*tr);
     op->retries += tr->attempts - 1;
     op->failovers += tr->failovers;
-    if (faulty()) {
-      faults_->note_round_latency(t - tr->first_issue);
+    if (faults_.enabled()) {
+      faults_.note_round_latency(t - tr->first_issue);
       // Replicated writes feed the estimator per replica ack instead
       // (write_replica_done); a settle from an older attempt's late
       // completion can predate the newest issue, so skip those samples.
-      if (status.is_ok() && faults_->config().adaptive_timeout &&
+      if (status.is_ok() && faults_.config().adaptive_timeout &&
           !(op->is_write && op->replicated) && t >= tr->last_issue) {
         note_rtt(current_target(*op, iod_idx), t - tr->last_issue);
       }
@@ -1041,7 +1021,7 @@ void Client::retry_or_fail(std::shared_ptr<OpState> op, u32 iod_idx,
                               current_target(*op, iod_idx));
     if (can_fail_over(*op, iod_idx, *tr)) {
       fail_over(op, iod_idx, round_idx, tr, t, [&](u32 from_iod, u32 to_iod) {
-        if (stats_ != nullptr) stats_->add(stat::kPvfsCorruptReadsFailedOver);
+        stats_.add(stat::kPvfsCorruptReadsFailedOver);
         sim::Trace::instance().emitf(
             t, hca_.name(),
             "read round %zu: iod%u corrupt, failing over to iod%u",
@@ -1056,14 +1036,14 @@ void Client::retry_or_fail(std::shared_ptr<OpState> op, u32 iod_idx,
   // Transient errors are only minted by the fault plane; a RoundTry can
   // also exist for a replicated write on a healthy run, where any failure
   // is a real (terminal) one.
-  const bool retryable = faulty() &&
+  const bool retryable = faults_.enabled() &&
                          (why.code() == ErrorCode::kUnavailable ||
                           why.code() == ErrorCode::kResourceExhausted);
   if (!retryable) {
     settle_round(op, iod_idx, round_idx, tr, t, std::move(why));
     return;
   }
-  const FaultConfig& fc = faults_->config();
+  const FaultConfig& fc = faults_.config();
   // The budget counts attempts since the last failover: a fresh replica
   // deserves a fresh budget.
   if (tr->attempts - 1 - tr->budget_base >= fc.max_retries) {
@@ -1071,7 +1051,7 @@ void Client::retry_or_fail(std::shared_ptr<OpState> op, u32 iod_idx,
       // The serving replica exhausted its budget; the next one is presumed
       // healthy, so the round re-issues immediately.
       fail_over(op, iod_idx, round_idx, tr, t, [&](u32 from_iod, u32 to_iod) {
-        if (stats_ != nullptr) stats_->add(stat::kPvfsRetries);
+        stats_.add(stat::kPvfsRetries);
         sim::Trace::instance().emitf(
             t, hca_.name(), "read round %zu failing over iod%u -> iod%u",
             round_idx + 1, from_iod, to_iod);
@@ -1097,7 +1077,7 @@ void Client::retry_or_fail(std::shared_ptr<OpState> op, u32 iod_idx,
                              " retries: " + why.message()));
     return;
   }
-  if (stats_ != nullptr) stats_->add(stat::kPvfsRetries);
+  stats_.add(stat::kPvfsRetries);
   // The backoff exponent restarts with the budget at each failover.
   const Duration backoff =
       capped_backoff(fc.backoff_base, fc.backoff_mult, fc.backoff_cap,
@@ -1133,7 +1113,8 @@ void Client::fail_over(std::shared_ptr<OpState> op, u32 iod_idx,
   u32 next = (ch.replica + 1) % nrep;
   for (u32 i = 1; i <= nrep; ++i) {
     const u32 cand = (ch.replica + i) % nrep;
-    if (cand != ch.replica && !(faulty() && faults_->iod_down(set[cand], t))) {
+    if (cand != ch.replica &&
+        !(faults_.enabled() && faults_.iod_down(set[cand], t))) {
       next = cand;
       break;
     }
@@ -1143,7 +1124,7 @@ void Client::fail_over(std::shared_ptr<OpState> op, u32 iod_idx,
   ++tr->failovers;
   tr->budget_base = tr->attempts;
   ++tr->attempts;
-  if (stats_ != nullptr) stats_->add(stat::kPvfsFailovers);
+  stats_.add(stat::kPvfsFailovers);
   note(from_iod, set[next]);
   run_round(op, iod_idx, round_idx, t, tr);
 }
@@ -1154,7 +1135,7 @@ void Client::run_round(std::shared_ptr<OpState> op, u32 iod_idx,
                        size_t round_idx, TimePoint t,
                        std::shared_ptr<RoundTry> tr) {
   if (tr != nullptr) {
-    if (faulty()) arm_round_timer(op, iod_idx, round_idx, tr, t);
+    if (faults_.enabled()) arm_round_timer(op, iod_idx, round_idx, tr, t);
     tr->last_issue = t;
   }
   t += cfg_.pvfs.client_request_cpu;
@@ -1199,7 +1180,7 @@ Client::SentRequest Client::send_request(const OpState& op, u32 iod_idx,
   rr.sync = op.opts.sync;
   rr.use_ads = op.opts.use_ads;
   rr.accesses = r.accesses;
-  if (stats_ != nullptr) stats_->add(stat::kPvfsRequest);
+  stats_.add(stat::kPvfsRequest);
   const u64 req_bytes =
       cfg_.pvfs.request_msg_bytes +
       r.accesses.size() * cfg_.pvfs.list_pair_wire_bytes;
@@ -1208,8 +1189,7 @@ Client::SentRequest Client::send_request(const OpState& op, u32 iod_idx,
   // Fault plane: the request may vanish (random drop, scheduled drop, or
   // a crashed iod). The wire time was spent; nothing downstream happens
   // and the round timer drives the replay.
-  out.lost = tr != nullptr && faulty() &&
-             faults_->request_lost(out.iod_id, out.arrive);
+  out.lost = tr != nullptr && faults_.request_lost(out.iod_id, out.arrive);
   return out;
 }
 
@@ -1248,10 +1228,8 @@ void Client::write_replica_done(std::shared_ptr<OpState> op, u32 iod_idx,
     tr->acks = 0;
     tr->have_first_ack = false;
     ++tr->attempts;
-    if (stats_ != nullptr) {
-      stats_->add(stat::kPvfsVersionRemints);
-      stats_->add(stat::kPvfsRetries);
-    }
+    stats_.add(stat::kPvfsVersionRemints);
+    stats_.add(stat::kPvfsRetries);
     sim::Trace::instance().emitf(
         t, hca_.name(),
         "write round %zu: mint fenced by epoch, re-minting v%llu "
@@ -1273,24 +1251,20 @@ void Client::write_replica_done(std::shared_ptr<OpState> op, u32 iod_idx,
                             op->replica_sets[iod_idx][rep],
                             ack_version != 0 ? ack_version : tr->version,
                             tr->epoch);
-  if (ccache_.enabled()) {
-    ccache_.note_version(op->file.meta.handle, op->stripes[iod_idx],
-                         ack_version != 0 ? ack_version : tr->version);
-  }
+  ccache_.note_version(op->file.meta.handle, op->stripes[iod_idx],
+                       ack_version != 0 ? ack_version : tr->version);
   if (tr->settled) return;  // late ack after quorum settle
   ++tr->acks;
   if (!tr->have_first_ack) {
     tr->have_first_ack = true;
     tr->first_ack = t;
   }
-  if (faulty() && faults_->config().adaptive_timeout &&
+  if (faults_.enabled() && faults_.config().adaptive_timeout &&
       t >= tr->last_issue) {
     note_rtt(op->replica_sets[iod_idx][rep], t - tr->last_issue);
   }
   if (tr->acks < op->quorum) return;  // timer stays armed for the rest
-  if (stats_ != nullptr && op->quorum > 1 && t > tr->first_ack) {
-    stats_->add(stat::kPvfsQuorumWaits);
-  }
+  if (op->quorum > 1 && t > tr->first_ack) stats_.add(stat::kPvfsQuorumWaits);
   settle_round(op, iod_idx, round_idx, tr, t, Status::ok());
 }
 
@@ -1303,12 +1277,12 @@ void Client::run_write_replica(std::shared_ptr<OpState> op, u32 iod_idx,
   const TimePoint t_req = req.arrive;
   const bool staged = req.rr.data_staged;
   Iod& iod = *iods_[iod_id];
-  if (stats_ != nullptr && rep > 0) stats_->add(stat::kPvfsReplicaWrites);
+  if (rep > 0) stats_.add(stat::kPvfsReplicaWrites);
 
   const bool eager =
       !staged && fast_rdma(cfg_.pvfs, op->opts.policy, r.bytes);
   if (staged) {
-    if (stats_ != nullptr) stats_->add(stat::kPvfsPartialRestarts);
+    stats_.add(stat::kPvfsPartialRestarts);
     sim::Trace::instance().emitf(
         t0, hca_.name(),
         "-> iod%u write round %zu replay, payload staged (wire skipped)",
@@ -1363,10 +1337,11 @@ void Client::run_write_replica(std::shared_ptr<OpState> op, u32 iod_idx,
   engine_.schedule_at(data_ready, [this, op, iod_idx, round_idx, rep, tr,
                                    rr = std::move(req.rr), &iod, iod_id,
                                    data_ready] {
-    if (tr != nullptr && faulty() && faults_->iod_down(iod_id, data_ready)) {
+    if (tr != nullptr && faults_.enabled() &&
+        faults_.iod_down(iod_id, data_ready)) {
       // The iod crashed between accepting the request and the data
       // landing: the round dies on the server floor; the timer replays it.
-      if (stats_ != nullptr) stats_->add(stat::kFaultIodDownDrop);
+      stats_.add(stat::kFaultIodDownDrop);
       sim::Trace::instance().emitf(data_ready, hca_.name(),
                                    "iod%u down, round %zu data dropped",
                                    iod_id, round_idx + 1);
@@ -1378,14 +1353,14 @@ void Client::run_write_replica(std::shared_ptr<OpState> op, u32 iod_idx,
     const Iod::WriteService svc =
         iod.write_round(rr, data_ready + cfg_.pvfs.iod_request_cpu);
     op->phases.disk += svc.disk_cost;
-    if (stats_ != nullptr) stats_->add(stat::kPvfsReply);
+    stats_.add(stat::kPvfsReply);
     const u64 attempt_seq = rr.round_seq;
     auto send_reply = [this, op, iod_idx, round_idx, rep, tr, &iod, iod_id,
                        svc, attempt_seq] {
       const TimePoint t_reply =
           fabric_.send_control(iod.hca(), hca_, cfg_.pvfs.reply_msg_bytes,
                                svc.done, ib::ControlKind::kReply);
-      if (tr != nullptr && faulty() && faults_->reply_lost(iod_id, svc.done)) {
+      if (tr != nullptr && faults_.reply_lost(iod_id, svc.done)) {
         // The write applied but its ack vanished; the replay is recognised
         // by round_seq at the iod and acked without re-running the disk.
         // The version note rides the ack, so it is lost with it.
@@ -1484,13 +1459,13 @@ void Client::run_read_round(std::shared_ptr<OpState> op, u32 iod_idx,
                               r = &op->rounds[iod_idx][round_idx]] {
     const TimePoint t_svc = t_req + cfg_.pvfs.iod_request_cpu;
     Iod::ReadService svc = iod.read_round(rr, t_svc, path, &hca_, dest, rkey);
-    if (stats_ != nullptr) stats_->add(stat::kPvfsReply);
+    stats_.add(stat::kPvfsReply);
     if (!svc.ok()) {
       if (release_key != 0) cache_.release(release_key);
       retry_or_fail(op, iod_idx, round_idx, tr, svc.ready, svc.status);
       return;
     }
-    if (tr != nullptr && faults_->reply_lost(iod_id, svc.ready)) {
+    if (tr != nullptr && faults_.reply_lost(iod_id, svc.ready)) {
       // The return leg (data push completion or ready ack) vanished;
       // reads are naturally idempotent, so the replay just re-reads.
       if (release_key != 0) cache_.release(release_key);

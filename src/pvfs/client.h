@@ -188,8 +188,7 @@ class Client {
  public:
   Client(u32 id, const ModelConfig& cfg, sim::Engine& engine,
          ib::Fabric& fabric, const MetaRegistry& registry,
-         std::vector<Iod*> iods, Stats* stats,
-         fault::Injector* faults = nullptr);
+         std::vector<Iod*> iods, Stats& stats, fault::Injector& faults);
 
   // --- Metadata --------------------------------------------------------
   // Thin blocking shims over MetaClient::call: each builds one typed
@@ -409,7 +408,6 @@ class Client {
                   TimePoint t, Status status);
   static std::vector<Round> split_rounds(const core::ServerSubRequest& sub,
                                          u64 max_pairs, u64 max_bytes);
-  bool faulty() const;
 
   // The physical iod currently serving reads for (or primarying writes of)
   // the chain — replica_sets[iod_idx][chain.replica] under replication,
@@ -479,8 +477,8 @@ class Client {
   sim::Engine& engine_;
   ib::Fabric& fabric_;
   std::vector<Iod*> iods_;
-  Stats* stats_;
-  fault::Injector* faults_;
+  Stats& stats_;
+  fault::Injector& faults_;
   std::optional<core::TransferPolicy> default_policy_;
   // Next round_seq to stamp (client-wide counter; strictly increasing, so
   // every (client, slot) subsequence is strictly increasing too). Shared

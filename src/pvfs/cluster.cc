@@ -19,7 +19,8 @@ std::string standby_name(u32 shard, u32 shard_count) {
 }
 }  // namespace
 
-Cluster::Cluster(const ModelConfig& cfg, const Topology& topo) : cfg_(cfg) {
+Cluster::Cluster(const ModelConfig& cfg, const Topology& topo)
+    : cfg_(cfg), faults_(cfg.fault, stats_) {
   const u32 shard_count =
       std::max<u32>(1, topo.shard_count != 0 ? topo.shard_count
                                              : cfg.pvfs.metadata_shards);
@@ -30,8 +31,7 @@ Cluster::Cluster(const ModelConfig& cfg, const Topology& topo) : cfg_(cfg) {
       topo.with_standbys.value_or(cfg.fault.standby_takeover);
   with_standbys_ = with_standbys;
   cluster_iod_count_ = topo.iod_count;
-  faults_ = std::make_unique<fault::Injector>(cfg.fault, &stats_);
-  fabric_ = std::make_unique<ib::Fabric>(cfg_.net, &stats_, faults_.get());
+  fabric_ = std::make_unique<ib::Fabric>(cfg_.net, stats_, faults_);
   // Sized up front; a split grows it (deque: no relocation — managers hold
   // pointers into the cells).
   epochs_.resize(shard_count);
@@ -41,18 +41,16 @@ Cluster::Cluster(const ModelConfig& cfg, const Topology& topo) : cfg_(cfg) {
   active_.reserve(shard_count);
   for (u32 s = 0; s < shard_count; ++s) {
     managers_.push_back(std::make_unique<Manager>(
-        cfg_, *fabric_, &stats_,
+        cfg_, *fabric_, stats_, faults_,
         ManagerOptions{.cluster_iod_count = topo.iod_count,
-                       .faults = faults_.get(),
                        .name = primary_name(s, shard_count),
                        .shard_id = s,
                        .shard_count = shard_count}));
     active_.push_back(managers_.back().get());
     if (with_standbys) {
       standbys_[s] = std::make_unique<Manager>(
-          cfg_, *fabric_, &stats_,
+          cfg_, *fabric_, stats_, faults_,
           ManagerOptions{.cluster_iod_count = topo.iod_count,
-                         .faults = faults_.get(),
                          .name = standby_name(s, shard_count),
                          .shard_id = s,
                          .shard_count = shard_count});
@@ -70,15 +68,15 @@ Cluster::Cluster(const ModelConfig& cfg, const Topology& topo) : cfg_(cfg) {
   iods_.reserve(topo.iod_count);
   for (u32 i = 0; i < topo.iod_count; ++i) {
     iods_.push_back(std::make_unique<Iod>(i, topo.client_count, cfg_,
-                                          *fabric_, &stats_, faults_.get()));
+                                          *fabric_, stats_, faults_));
   }
   std::vector<Iod*> iod_ptrs;
   for (auto& iod : iods_) iod_ptrs.push_back(iod.get());
   clients_.reserve(topo.client_count);
   for (u32 c = 0; c < topo.client_count; ++c) {
     clients_.push_back(std::make_unique<Client>(c, cfg_, engine_, *fabric_,
-                                                registry_, iod_ptrs, &stats_,
-                                                faults_.get()));
+                                                registry_, iod_ptrs, stats_,
+                                                faults_));
     clients_.back()->attach_lease_bus(&lease_bus_);
   }
   if (cfg_.replication.factor > 1 && cfg_.replication.resync) {
@@ -89,22 +87,20 @@ Cluster::Cluster(const ModelConfig& cfg, const Topology& topo) : cfg_(cfg) {
     for (auto& iod : iods_) {
       iod->configure_resync(&engine_, active_, iod_ptrs);
     }
-    faults_->install_restart_hooks(engine_, [this](u32 iod, TimePoint at) {
+    faults_.install_restart_hooks(engine_, [this](u32 iod, TimePoint at) {
       if (iod < iods_.size()) iods_[iod]->on_restart(at);
     });
   }
-  if (faults_->enabled()) {
-    // Scheduled kBitFlip events corrupt data at rest on the target iod
-    // (rate-driven flips ride the write path inside the iod instead).
-    faults_->install_corruption_hooks(engine_, [this](u32 iod, TimePoint at) {
-      if (iod < iods_.size()) iods_[iod]->inject_bit_flip(at);
-    });
-  }
-  if (with_standbys && faults_->enabled()) {
+  // Scheduled kBitFlip events corrupt data at rest on the target iod
+  // (rate-driven flips ride the write path inside the iod instead).
+  faults_.install_corruption_hooks(engine_, [this](u32 iod, TimePoint at) {
+    if (iod < iods_.size()) iods_[iod]->inject_bit_flip(at);
+  });
+  if (with_standbys) {
     // Fenced takeover rides the fault schedule: `manager_takeover_delay`
     // after each shard's kManagerCrash window opens, the shard's standby
     // promotes itself.
-    faults_->install_manager_takeover_hooks(
+    faults_.install_manager_takeover_hooks(
         engine_, cfg_.fault.manager_takeover_delay,
         [this](u32 shard, TimePoint at) { manager_takeover(shard, at); });
   }
@@ -184,9 +180,8 @@ std::unique_ptr<Manager> Cluster::provision_manager(const std::string& name,
                                                     u32 shard,
                                                     u32 shard_count) {
   auto m = std::make_unique<Manager>(
-      cfg_, *fabric_, &stats_,
+      cfg_, *fabric_, stats_, faults_,
       ManagerOptions{.cluster_iod_count = cluster_iod_count_,
-                     .faults = faults_.get(),
                      .name = name,
                      .shard_id = shard,
                      .shard_count = shard_count});
@@ -271,12 +266,12 @@ bool Cluster::split_shards(TimePoint at) {
 bool Cluster::migration_aborted(MigrationState& st, TimePoint at) {
   // Source crash window: stream rounds from a crashed source are lost and
   // the snapshot cannot be trusted.
-  if (faults_->manager_down(at, st.shard)) return true;
+  if (faults_.manager_down(at, st.shard)) return true;
   // A standby takeover raced the stream: the epoch moved on and the
   // source's snapshot is no longer the shard's authority.
   if (epochs_[st.shard].value != st.start_epoch) return true;
   // Scheduled target crash (one-shot; consumed here).
-  if (faults_->migration_target_crashed(st.shard, at)) return true;
+  if (faults_.migration_target_crashed(st.shard, at)) return true;
   return false;
 }
 

@@ -76,7 +76,7 @@ class Cluster {
   u32 metadata_shards() const { return static_cast<u32>(managers_.size()); }
   sim::Engine& engine() { return engine_; }
   ib::Fabric& fabric() { return *fabric_; }
-  fault::Injector& faults() { return *faults_; }
+  fault::Injector& faults() { return faults_; }
   Stats& stats() { return stats_; }
   const ModelConfig& config() const { return cfg_; }
   u32 client_count() const { return static_cast<u32>(clients_.size()); }
@@ -208,8 +208,9 @@ class Cluster {
   ModelConfig cfg_;
   Stats stats_;
   sim::Engine engine_;
-  // Declared before the fabric/iods/clients that hold raw pointers to it.
-  std::unique_ptr<fault::Injector> faults_;
+  // Declared before the fabric, managers, iods and clients that hold
+  // references to it.
+  fault::Injector faults_;
   std::unique_ptr<ib::Fabric> fabric_;
   // Per-shard epoch cells. Managers hold pointers into it, so growth must
   // not relocate: a deque's push_back (split_shards installing the new

@@ -16,7 +16,7 @@ std::string iod_name(u32 id) { return "iod" + std::to_string(id); }
 }  // namespace
 
 Iod::Iod(u32 id, u32 client_count, const ModelConfig& cfg, ib::Fabric& fabric,
-         Stats* stats, fault::Injector* faults)
+         Stats& stats, fault::Injector& faults)
     : id_(id),
       cfg_(cfg),
       fabric_(fabric),
@@ -73,8 +73,8 @@ Duration Iod::remove_file(Handle h) {
 }
 
 Duration Iod::disk_scaled(Duration cost, TimePoint at) const {
-  if (faults_ == nullptr || !faults_->enabled()) return cost;
-  return cost * faults_->disk_factor(id_, at);
+  if (!faults_.enabled()) return cost;
+  return cost * faults_.disk_factor(id_, at);
 }
 
 bool Iod::already_applied(u32 client, u32 slot, u64 seq) {
@@ -162,7 +162,7 @@ Iod::WriteService Iod::write_round(const RoundRequest& r,
     // Replay of a round whose reply was lost: the disk phase already ran,
     // so ack without re-applying (idempotent replay). The original apply
     // merged the version; the ack reports the current header.
-    if (stats_ != nullptr) stats_->add(stat::kPvfsReplaysDeduped);
+    stats_.add(stat::kPvfsReplaysDeduped);
     sim::Trace::instance().emitf(
         data_ready, hca_.name(), "write round h%llu slot%u seq%llu: replay, %s",
         static_cast<unsigned long long>(r.handle), r.slot,
@@ -182,10 +182,10 @@ Iod::WriteService Iod::write_round(const RoundRequest& r,
   bool lost = false;
   bool torn = false;
   bool flip = false;
-  if (faults_ != nullptr && faults_->enabled() && r.bytes() > 0) {
-    lost = faults_->lost_write(id_, data_ready);
-    if (!lost) torn = faults_->torn_write(id_, data_ready);
-    if (!lost && !torn) flip = faults_->write_bit_flip(id_, data_ready);
+  if (r.bytes() > 0) {
+    lost = faults_.lost_write(id_, data_ready);
+    if (!lost) torn = faults_.torn_write(id_, data_ready);
+    if (!lost && !torn) flip = faults_.write_bit_flip(id_, data_ready);
   }
   if (lost) {
     // The disk firmware dropped the round but acked it: nothing is
@@ -232,7 +232,7 @@ Iod::WriteService Iod::write_round(const RoundRequest& r,
         manager_epoch(shard_of_handle(r.handle, cfg_.pvfs.metadata_shards));
     if (r.epoch != 0 && r.epoch < fence) {
       svc.epoch_rejected = true;
-      if (stats_ != nullptr) stats_->add(stat::kPvfsEpochRejections);
+      stats_.add(stat::kPvfsEpochRejections);
       sim::Trace::instance().emitf(
           data_ready, hca_.name(),
           "write round h%llu slot%u: stale epoch %llu < %llu, header fenced",
@@ -329,10 +329,7 @@ void Iod::on_restart(TimePoint t) {
 void Iod::resync_step(std::shared_ptr<ResyncState> st) {
   // Crashed again mid-scan: abandon; the next restart rescans (the map
   // still records every unfinished stripe as stale).
-  if (faults_ != nullptr && faults_->enabled() &&
-      faults_->iod_down(id_, st->t)) {
-    return;
-  }
+  if (faults_.enabled() && faults_.iod_down(id_, st->t)) return;
   while (st->ti < st->targets.size()) {
     const Manager::ResyncTarget& tg = st->targets[st->ti];
     // The first chain peer recorded current and up right now is the pull
@@ -344,8 +341,7 @@ void Iod::resync_step(std::shared_ptr<ResyncState> st) {
     for (size_t j = 0; j < tg.peers.size(); ++j) {
       const u32 p = tg.peers[j];
       if (p < peers_.size() && peers_[p] != nullptr &&
-          !(faults_ != nullptr && faults_->enabled() &&
-            faults_->iod_down(p, st->t))) {
+          !(faults_.enabled() && faults_.iod_down(p, st->t))) {
         peer = peers_[p];
         peer_handle = tg.peer_handles[j];
         peer_id = p;
@@ -372,7 +368,7 @@ void Iod::resync_step(std::shared_ptr<ResyncState> st) {
         managers_[shard]->note_replica_resynced(tg.handle, tg.stripe, id_,
                                                 tg.latest);
       }
-      if (stats_ != nullptr) stats_->add(stat::kPvfsResyncStripes);
+      stats_.add(stat::kPvfsResyncStripes);
       sim::Trace::instance().emitf(
           st->t, hca_.name(),
           "resync: h%llu stripe %u current at v%llu (%llu B in %llu rounds)",
@@ -412,7 +408,7 @@ void Iod::resync_step(std::shared_ptr<ResyncState> st) {
       // manufacture. Flag the source and abandon the stripe; it stays
       // recorded stale, so a later scan retries against the surviving
       // chain once the flagged copy is excluded or healed.
-      if (stats_ != nullptr) stats_->add(stat::kPvfsCorruptionsDetected);
+      stats_.add(stat::kPvfsCorruptionsDetected);
       const u32 shard = shard_of_handle(tg.handle, cfg_.pvfs.metadata_shards);
       if (shard < managers_.size() && managers_[shard] != nullptr) {
         managers_[shard]->note_replica_corrupt(tg.handle, tg.stripe, peer_id);
@@ -433,7 +429,7 @@ void Iod::resync_step(std::shared_ptr<ResyncState> st) {
     const Timed<u64> wr = lf.pwrite(st->off, {buf.data(), rd.value}, {});
     // Resync applies stamp like writes do: the rebuilt copy must verify.
     stamp_round(tg.local_handle, {{st->off, rd.value}}, pre_size);
-    if (stats_ != nullptr) stats_->add(stat::kPvfsResyncRounds);
+    stats_.add(stat::kPvfsResyncRounds);
     st->off += rd.value;
     ++st->rounds;
     st->t = req_at + rd.cost + wire + wr.cost;
@@ -482,7 +478,7 @@ Iod::ReadService Iod::read_round(const RoundRequest& r, TimePoint start,
   // untrustworthy, so the round fails typed kCorrupt and the client fails
   // over instead of retrying here.
   if (!verify_ranges(r.handle, r.accesses)) {
-    if (stats_ != nullptr) stats_->add(stat::kPvfsCorruptionsDetected);
+    stats_.add(stat::kPvfsCorruptionsDetected);
     sim::Trace::instance().emitf(
         start, hca_.name(), "read round h%llu: block checksum MISMATCH",
         static_cast<unsigned long long>(r.handle));
@@ -634,7 +630,7 @@ void Iod::corrupt_torn(Handle h, const ExtentList& accesses, TimePoint at) {
   if (total == 0) return;
   // Keep a prefix of the round's stream on the platter; the torn tail
   // reads back garbled under the intact (intended-content) stamps.
-  const u64 keep = faults_->draw(total);
+  const u64 keep = faults_.draw(total);
   disk::LocalFile& f = file(h);
   u64 pos = 0;
   for (const Extent& a : accesses) {
@@ -655,8 +651,8 @@ void Iod::corrupt_torn(Handle h, const ExtentList& accesses, TimePoint at) {
 void Iod::corrupt_flip(Handle h, const ExtentList& accesses, TimePoint at) {
   const u64 total = total_length(accesses);
   if (total == 0) return;
-  u64 pos = faults_->draw(total);
-  const u32 bit = static_cast<u32>(faults_->draw(8));
+  u64 pos = faults_.draw(total);
+  const u32 bit = static_cast<u32>(faults_.draw(8));
   disk::LocalFile& f = file(h);
   for (const Extent& a : accesses) {
     if (pos < a.length) {
@@ -676,7 +672,6 @@ void Iod::corrupt_flip(Handle h, const ExtentList& accesses, TimePoint at) {
 }
 
 void Iod::inject_bit_flip(TimePoint at) {
-  if (faults_ == nullptr) return;
   // Deterministic pick among nonempty local files (map order), then a byte
   // and a bit, all from the injector's seeded stream. A node with no data
   // yet absorbs the event silently (and counts nothing — the fault never
@@ -686,11 +681,11 @@ void Iod::inject_bit_flip(TimePoint at) {
     if (fs_.file(fd).size() > 0) cands.push_back(fd);
   }
   if (cands.empty()) return;
-  disk::LocalFile& f = fs_.file(cands[faults_->draw(cands.size())]);
-  const u64 off = faults_->draw(f.size());
-  const u32 bit = static_cast<u32>(faults_->draw(8));
+  disk::LocalFile& f = fs_.file(cands[faults_.draw(cands.size())]);
+  const u64 off = faults_.draw(f.size());
+  const u32 bit = static_cast<u32>(faults_.draw(8));
   f.corrupt({off, 1}, static_cast<std::byte>(1u << bit));
-  if (stats_ != nullptr) stats_->add(stat::kFaultBitFlip);
+  stats_.add(stat::kFaultBitFlip);
   sim::Trace::instance().emitf(
       at, hca_.name(), "bit flip injected at rest: %s off %llu bit %u",
       f.path().c_str(), static_cast<unsigned long long>(off), bit);
@@ -716,8 +711,7 @@ void Iod::start_scrub(TimePoint until) {
 
 void Iod::scrub_tick(std::shared_ptr<ScrubState> st) {
   const TimePoint now = engine_->now();
-  const bool down = faults_ != nullptr && faults_->enabled() &&
-                    faults_->iod_down(id_, now);
+  const bool down = faults_.enabled() && faults_.iod_down(id_, now);
   if (!down && !files_.empty()) {
     u64 budget = std::max<u64>(1, cfg_.replication.scrub_chunk_bytes);
     u64 scanned = 0;
@@ -752,9 +746,7 @@ void Iod::scrub_tick(std::shared_ptr<ScrubState> st) {
         const u64 header = stripe_version(h);
         for (const Manager::LocalStripeView& v : mgr->local_stripes(h, id_)) {
           if (v.known && v.recorded >= v.latest && header < v.latest) {
-            if (stats_ != nullptr) {
-              stats_->add(stat::kPvfsScrubStaleHeaders);
-            }
+            stats_.add(stat::kPvfsScrubStaleHeaders);
             sim::Trace::instance().emitf(
                 now, hca_.name(),
                 "scrub: h%llu stripe %u header v%llu < map v%llu, lost "
@@ -775,10 +767,8 @@ void Iod::scrub_tick(std::shared_ptr<ScrubState> st) {
       const Timed<u64> rd = f.pread(st->off, scratch, {});
       done = disk_queue_.acquire(done, disk_scaled(rd.cost, now));
       if (!verify_ranges(h, {{st->off, n}})) {
-        if (stats_ != nullptr) {
-          stats_->add(stat::kPvfsScrubCorruptions);
-          stats_->add(stat::kPvfsCorruptionsDetected);
-        }
+        stats_.add(stat::kPvfsScrubCorruptions);
+        stats_.add(stat::kPvfsCorruptionsDetected);
         sim::Trace::instance().emitf(
             now, hca_.name(), "scrub: h%llu checksum MISMATCH in [%llu,%llu)",
             static_cast<unsigned long long>(h),
@@ -796,9 +786,9 @@ void Iod::scrub_tick(std::shared_ptr<ScrubState> st) {
       scanned += n;
       st->off += n;
     }
-    if (scanned > 0 && stats_ != nullptr) {
-      stats_->add(stat::kPvfsScrubChunks);
-      stats_->add(stat::kPvfsScrubBytes, scanned);
+    if (scanned > 0) {
+      stats_.add(stat::kPvfsScrubChunks);
+      stats_.add(stat::kPvfsScrubBytes, scanned);
     }
     // Heal: the findings above are now recorded stale/corrupt in the
     // staleness map, which is exactly what the restart resync scanner

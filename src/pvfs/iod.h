@@ -37,10 +37,11 @@ class Manager;
 
 class Iod {
  public:
-  // `faults` (optional) contributes degraded-disk slowdown windows; crash
-  // windows are enforced at the client (requests to a down iod are lost).
+  // `faults` contributes degraded-disk slowdown windows and the
+  // silent-corruption draws; crash windows are enforced at the client
+  // (requests to a down iod are lost).
   Iod(u32 id, u32 client_count, const ModelConfig& cfg, ib::Fabric& fabric,
-      Stats* stats, fault::Injector* faults = nullptr);
+      Stats& stats, fault::Injector& faults);
 
   // Local stripe file for a handle, created on first use.
   disk::LocalFile& file(Handle h);
@@ -250,8 +251,8 @@ class Iod {
   u32 id_;
   ModelConfig cfg_;
   ib::Fabric& fabric_;
-  Stats* stats_;
-  fault::Injector* faults_;
+  Stats& stats_;
+  fault::Injector& faults_;
   vmem::AddressSpace as_;
   ib::Hca hca_;
   disk::LocalFs fs_;

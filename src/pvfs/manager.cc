@@ -21,13 +21,13 @@ Status wrong_shard_status(u32 owner) {
 }
 }  // namespace
 
-Manager::Manager(const ModelConfig& cfg, ib::Fabric& fabric, Stats* stats,
-                 ManagerOptions opts)
+Manager::Manager(const ModelConfig& cfg, ib::Fabric& fabric, Stats& stats,
+                 fault::Injector& faults, ManagerOptions opts)
     : cfg_(cfg),
       fabric_(fabric),
       stats_(stats),
       cluster_iod_count_(opts.cluster_iod_count),
-      faults_(opts.faults),
+      faults_(faults),
       shard_id_(opts.shard_id),
       shard_count_(opts.shard_count == 0 ? 1 : opts.shard_count),
       hca_(opts.name, as_, cfg.reg, stats),
@@ -45,8 +45,7 @@ Timed<Status> Manager::admit(ib::Hca& from, TimePoint ready,
                              const std::string& name) {
   const TimePoint at_mgr = fabric_.send_control(
       from, hca_, cfg_.pvfs.request_msg_bytes, ready, ib::ControlKind::kRequest);
-  if (faults_ != nullptr && faults_->enabled() &&
-      faults_->meta_request_lost(at_mgr, primary_, shard_id_)) {
+  if (faults_.meta_request_lost(at_mgr, primary_, shard_id_)) {
     // The request wire time was spent but the manager never saw it; the
     // caller notices via timeout. A client that received nothing is
     // charged only the request leg.
@@ -104,9 +103,7 @@ Status Manager::wrong_shard_redirect(const std::string& name) const {
   const bool lost_to_reshard =
       migrated_out_ || (pre_split_count_ != 0 &&
                         shard_of(name, pre_split_count_) == shard_id_);
-  if (lost_to_reshard && stats_ != nullptr) {
-    stats_->add(stat::kPvfsWrongShardDuringMigration);
-  }
+  if (lost_to_reshard) stats_.add(stat::kPvfsWrongShardDuringMigration);
   return wrong_shard_status(shard_of(name, shard_count_));
 }
 
@@ -263,7 +260,7 @@ void Manager::note_replica_version(Handle h, u32 stripe, u32 iod_id,
     // the replica current on its word could hide a stripe the takeover
     // rebuild decided needs resync. The fenced ack's bytes still landed —
     // resync or read-repair will reconcile them.
-    if (stats_ != nullptr) stats_->add(stat::kPvfsEpochRejections);
+    stats_.add(stat::kPvfsEpochRejections);
     return;
   }
   const FileMeta* meta = meta_of(h);
@@ -510,7 +507,7 @@ void Manager::note_replica_resynced(Handle h, u32 stripe, u32 iod_id,
   if (st.replica.empty()) st.replica.resize(n, 0);
   if (pos < st.corrupt.size() && st.corrupt[pos]) {
     st.corrupt[pos] = false;
-    if (stats_ != nullptr) stats_->add(stat::kPvfsCorruptionsRepaired);
+    stats_.add(stat::kPvfsCorruptionsRepaired);
   }
   st.replica[pos] = std::max(st.replica[pos], version);
   st.latest = std::max(st.latest, version);

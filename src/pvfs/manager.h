@@ -26,8 +26,6 @@ struct ManagerOptions {
   // placement (a file may stripe over fewer). 0 (unknown) only forbids
   // replicated creates.
   u32 cluster_iod_count = 0;
-  // Routes metadata requests through the fault plane (may be null).
-  fault::Injector* faults = nullptr;
   // Labels the manager's HCA ("mgr" for a lone primary, "mgr2" for its
   // standby, "mgr<k>"/"mgr<k>b" per shard when the plane is sharded).
   std::string name = "mgr";
@@ -40,8 +38,9 @@ struct ManagerOptions {
 
 class Manager {
  public:
-  Manager(const ModelConfig& cfg, ib::Fabric& fabric, Stats* stats,
-          ManagerOptions opts = {});
+  // `faults` routes metadata requests through the fault plane.
+  Manager(const ModelConfig& cfg, ib::Fabric& fabric, Stats& stats,
+          fault::Injector& faults, ManagerOptions opts = {});
 
   // Metadata operations; `from` is the requesting client's HCA and `ready`
   // its request time. Each returns the completion time of the round-trip
@@ -340,9 +339,9 @@ class Manager {
 
   ModelConfig cfg_;
   ib::Fabric& fabric_;
-  Stats* stats_;
+  Stats& stats_;
   u32 cluster_iod_count_;
-  fault::Injector* faults_;
+  fault::Injector& faults_;
   u32 shard_id_;
   u32 shard_count_;
   vmem::AddressSpace as_;

@@ -26,8 +26,8 @@ bool meta_wrong_shard(const MetaReply& r) {
 }
 }  // namespace
 
-MetaClient::MetaClient(ib::Hca& hca, sim::Engine& engine, Stats* stats,
-                       fault::Injector* faults, const MetaRegistry* registry,
+MetaClient::MetaClient(ib::Hca& hca, sim::Engine& engine, Stats& stats,
+                       fault::Injector& faults, const MetaRegistry* registry,
                        MigrationParams mig)
     : hca_(hca),
       engine_(engine),
@@ -50,10 +50,6 @@ void MetaClient::load_map() {
   version_ = registry_->version();
 }
 
-bool MetaClient::faulty() const {
-  return faults_ != nullptr && faults_->enabled();
-}
-
 void MetaClient::refresh_map() {
   if (stale_refreshes_ > 0) {
     // Test hook: this refresh raced a reshard and fetched an
@@ -63,11 +59,11 @@ void MetaClient::refresh_map() {
     // loop must survive.
     --stale_refreshes_;
     invalidate_map();
-    if (stats_ != nullptr) stats_->add(stat::kPvfsShardMapRefreshes);
+    stats_.add(stat::kPvfsShardMapRefreshes);
     return;
   }
   load_map();
-  if (stats_ != nullptr) stats_->add(stat::kPvfsShardMapRefreshes);
+  stats_.add(stat::kPvfsShardMapRefreshes);
 }
 
 void MetaClient::invalidate_map() {
@@ -101,7 +97,7 @@ MetaClient::Outcome MetaClient::call(const MetaRequest& rq, TimePoint issue) {
       if (refreshes >= mig_.map_refresh_attempts) {
         return {std::move(r.value), issue + r.cost};
       }
-      if (stats_ != nullptr) stats_->add(stat::kPvfsShardRedirects);
+      stats_.add(stat::kPvfsShardRedirects);
       TimePoint noticed = issue + r.cost;
       if (refreshes > 0) {
         noticed = noticed + capped_backoff(mig_.map_refresh_backoff, 2.0,
@@ -123,10 +119,11 @@ MetaClient::Outcome MetaClient::call(const MetaRequest& rq, TimePoint issue) {
       r = active_of(shard).serve(hca_, issue, rq);
       continue;
     }
-    if (!faulty() || !(meta_lost(r.value) || meta_redirected(r.value))) {
+    if (!faults_.enabled() ||
+        !(meta_lost(r.value) || meta_redirected(r.value))) {
       return {std::move(r.value), issue + r.cost};
     }
-    const FaultConfig& fc = faults_->config();
+    const FaultConfig& fc = faults_.config();
     if (retries >= fc.max_retries) {
       // The final attempt failed too: the client waits out its timeout (or
       // takes the redirect reply on the chin) and gives up.
@@ -138,7 +135,7 @@ MetaClient::Outcome MetaClient::call(const MetaRequest& rq, TimePoint issue) {
       return {std::move(rep), done};
     }
     CachedShard& cs = shards_[shard];
-    if (stats_ != nullptr) stats_->add(stat::kPvfsMetaRetries);
+    stats_.add(stat::kPvfsMetaRetries);
     ++retries;
     const Duration backoff = capped_backoff(fc.backoff_base, fc.backoff_mult,
                                             fc.backoff_cap, retries);
@@ -148,7 +145,7 @@ MetaClient::Outcome MetaClient::call(const MetaRequest& rq, TimePoint issue) {
     const TimePoint noticed = lost ? issue + fc.round_timeout : issue + r.cost;
     if (cs.candidates.size() > 1) {
       cs.active = (cs.active + 1) % cs.candidates.size();
-      if (stats_ != nullptr) stats_->add(stat::kPvfsMetaFailovers);
+      stats_.add(stat::kPvfsMetaFailovers);
       if (sim::Trace::instance().enabled()) {
         sim::Trace::instance().emitf(
             noticed, hca_.name(),
@@ -176,7 +173,7 @@ Manager& MetaClient::authority(Handle h) {
       // client never witnessed. Minting from it (or feeding it notes)
       // would split the version plane, so the client refuses and
       // re-targets the epoch-current candidate.
-      if (stats_ != nullptr) stats_->add(stat::kPvfsEpochRejections);
+      stats_.add(stat::kPvfsEpochRejections);
       for (size_t i = 0; i < cs.candidates.size(); ++i) {
         if (!cs.candidates[i]->epoch_stale()) {
           cs.active = i;

@@ -95,12 +95,11 @@ class MetaClient {
  public:
   // Seeds the cached shard map from `registry` (the free mount-time config
   // fetch). `hca` is the owning client's HCA (request source and trace
-  // label); `faults` routes the retry policy (may be null). `mig` bounds
-  // the wrong-shard re-refresh loop (MigrationParams defaults reproduce
-  // the classic behaviour on the first redirect: immediate refresh, no
-  // backoff).
-  MetaClient(ib::Hca& hca, sim::Engine& engine, Stats* stats,
-             fault::Injector* faults, const MetaRegistry* registry,
+  // label); `faults` routes the retry policy. `mig` bounds the wrong-shard
+  // re-refresh loop (MigrationParams defaults reproduce the classic
+  // behaviour on the first redirect: immediate refresh, no backoff).
+  MetaClient(ib::Hca& hca, sim::Engine& engine, Stats& stats,
+             fault::Injector& faults, const MetaRegistry* registry,
              MigrationParams mig = {});
 
   struct Outcome {
@@ -166,12 +165,11 @@ class MetaClient {
   void load_map();
   // A redirect-driven load_map (pvfs.shard_map_refreshes).
   void refresh_map();
-  bool faulty() const;
 
   ib::Hca& hca_;
   sim::Engine& engine_;
-  Stats* stats_;
-  fault::Injector* faults_;
+  Stats& stats_;
+  fault::Injector& faults_;
   const MetaRegistry* registry_;
   MigrationParams mig_;
   std::vector<CachedShard> shards_;

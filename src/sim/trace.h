@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <deque>
 #include <string>
+#include <string_view>
 
 #include "common/sim_time.h"
 
@@ -33,16 +34,18 @@ class Trace {
   void disable() { enabled_ = false; }
   bool enabled() const { return enabled_; }
 
-  void emit(TimePoint at, std::string who, std::string what) {
+  // `who` and `what` are views: the Entry's strings are built only when
+  // tracing is on, so a disabled emit site allocates nothing.
+  void emit(TimePoint at, std::string_view who, std::string_view what) {
     if (!enabled_) return;
     if (ring_.size() >= capacity_) {
       ring_.pop_front();
       ++dropped_;
     }
-    ring_.push_back(Entry{at, std::move(who), std::move(what)});
+    ring_.push_back(Entry{at, std::string(who), std::string(what)});
   }
 
-  void emitf(TimePoint at, std::string who, const char* fmt, ...)
+  void emitf(TimePoint at, std::string_view who, const char* fmt, ...)
       __attribute__((format(printf, 4, 5))) {
     if (!enabled_) return;
     char buf[256];
@@ -50,7 +53,7 @@ class Trace {
     va_start(ap, fmt);
     std::vsnprintf(buf, sizeof(buf), fmt, ap);
     va_end(ap);
-    emit(at, std::move(who), buf);
+    emit(at, who, buf);
   }
 
   const std::deque<Entry>& entries() const { return ring_; }

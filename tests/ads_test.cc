@@ -11,7 +11,7 @@ class AdsTest : public ::testing::Test {
  protected:
   ActiveDataSieving make(AdsConfig cfg = {}) {
     return ActiveDataSieving(DiskParams{}, FsParams{}, MemParams{}, cfg,
-                             &stats_);
+                             stats_);
   }
 
   // N accesses of `len` bytes strided by `stride`.

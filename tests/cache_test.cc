@@ -333,7 +333,7 @@ TEST(CacheTest, NoteVersionDropsConflictingEntry) {
   CacheParams p;
   p.enabled = true;
   Stats stats;
-  cache::ClientCache cc(p, &stats);
+  cache::ClientCache cc(p, stats);
   const Handle h = 42;
   std::vector<std::byte> bytes(4096, std::byte{0x5a});
   cc.insert_clean(h, 64 * kKiB, 4, {{0, 4096}}, bytes,
@@ -361,7 +361,7 @@ TEST(CacheTest, StaleTagFailsHitAndDropsEntry) {
   CacheParams p;
   p.enabled = true;
   Stats stats;
-  cache::ClientCache cc(p, &stats);
+  cache::ClientCache cc(p, stats);
   const Handle h = 7;
   std::vector<std::byte> bytes(8192, std::byte{0x11});
   cc.insert_clean(h, 64 * kKiB, 2, {{0, 8192}}, bytes,

@@ -109,9 +109,9 @@ TEST(ChecksumProperty, LazyVerdictsMatchEagerReference) {
   cfg.fault.bit_flip_rate = 0.1;
   cfg.fault.lost_write_rate = 0.05;
   Stats stats;
-  fault::Injector faults(cfg.fault, &stats);
-  ib::Fabric fabric(cfg.net, &stats);
-  Iod iod(0, /*client_count=*/1, cfg, fabric, &stats, &faults);
+  fault::Injector faults(cfg.fault, stats);
+  ib::Fabric fabric(cfg.net, stats, faults);
+  Iod iod(0, /*client_count=*/1, cfg, fabric, stats, faults);
   EagerSums ref(cfg.replication.integrity_block_bytes);
 
   // The file span a schedule plays in: several checksum blocks, and more

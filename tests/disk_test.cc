@@ -22,7 +22,7 @@ namespace {
 
 TEST(Disk, SequentialAccessPaysNoSeek) {
   Stats stats;
-  Disk d(DiskParams{}, &stats);
+  Disk d(DiskParams{}, stats);
   d.read(0, kMiB);
   EXPECT_EQ(stats.get(stat::kDiskSeek), 0);
   d.read(kMiB, kMiB);  // head is already there
@@ -35,27 +35,29 @@ TEST(Disk, SequentialAccessPaysNoSeek) {
 TEST(Disk, SeekCostGrowsWithDistance) {
   DiskParams p;
   Stats stats;
-  Disk d(p, &stats);
+  Disk d(p, stats);
   d.read(0, kPageSize);
   const Duration near = d.read(2 * kMiB, kPageSize);
-  Disk d2(p, &stats);
+  Disk d2(p, stats);
   d2.read(0, kPageSize);
   const Duration far = d2.read(20 * kGiB, kPageSize);
   EXPECT_LT(near, far);
 }
 
 TEST(Disk, LargeSequentialHitsAsymptote) {
-  Disk d(DiskParams{}, nullptr);
+  Stats stats;
+  Disk d(DiskParams{}, stats);
   const u64 n = 256 * kMiB;
   const Duration t = d.write(0, n);
   EXPECT_NEAR(bandwidth_mib(n, t), 25.0, 1.5);  // Table 3 uncached write
-  Disk d2(DiskParams{}, nullptr);
+  Disk d2(DiskParams{}, stats);
   const Duration tr = d2.read(0, n);
   EXPECT_NEAR(bandwidth_mib(n, tr), 20.0, 1.5);  // Table 3 uncached read
 }
 
 TEST(Disk, SmallAccessesAreMuchSlower) {
-  Disk d(DiskParams{}, nullptr);
+  Stats stats;
+  Disk d(DiskParams{}, stats);
   const Duration t = d.read(0, 4 * kKiB);
   EXPECT_LT(bandwidth_mib(4 * kKiB, t), 5.0);
 }

@@ -11,9 +11,9 @@ namespace {
 class FabricTest : public ::testing::Test {
  protected:
   FabricTest()
-      : client_("client", client_as_, reg_, &stats_),
-        server_("server", server_as_, reg_, &stats_),
-        fabric_(net_, &stats_) {}
+      : client_("client", client_as_, reg_, stats_),
+        server_("server", server_as_, reg_, stats_),
+        fabric_(net_, stats_, no_faults_) {}
 
   // Register a fresh buffer of `n` bytes on `hca`, return (addr, key).
   std::pair<u64, u32> make_buffer(Hca& hca, vmem::AddressSpace& as, u64 n) {
@@ -38,6 +38,7 @@ class FabricTest : public ::testing::Test {
 
   vmem::AddressSpace client_as_, server_as_;
   Stats stats_;
+  fault::Injector no_faults_{FaultConfig{}, stats_};
   RegParams reg_;
   NetParams net_;
   Hca client_, server_;
@@ -160,8 +161,8 @@ TEST_F(FabricTest, InvalidKeyRejected) {
 TEST_F(FabricTest, InjectedCompletionErrorMovesNothing) {
   FaultConfig fc;
   fc.completion_error_rate = 1.0;
-  fault::Injector faults(fc, &stats_);
-  Fabric faulty(net_, &stats_, &faults);
+  fault::Injector faults(fc, stats_);
+  Fabric faulty(net_, stats_, faults);
   auto [la, lk] = make_buffer(client_, client_as_, kPageSize);
   auto [ra, rk] = make_buffer(server_, server_as_, kPageSize);
   fill(client_as_, la, 64);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "fault/injector.h"
 
 namespace pvfsib::pvfs {
 namespace {
@@ -14,9 +15,9 @@ class IodTest : public ::testing::Test {
  protected:
   IodTest()
       : cfg_(ModelConfig::paper_defaults()),
-        fabric_(cfg_.net, &stats_),
-        iod_(0, /*clients=*/2, cfg_, fabric_, &stats_),
-        client_hca_("c0", client_as_, cfg_.reg, &stats_) {
+        fabric_(cfg_.net, stats_, faults_),
+        iod_(0, /*clients=*/2, cfg_, fabric_, stats_, faults_),
+        client_hca_("c0", client_as_, cfg_.reg, stats_) {
     // A registered client-side landing buffer for return-path tests.
     dest_addr_ = client_as_.alloc(8 * kMiB);
     ib::RegAttempt reg = client_hca_.register_memory(dest_addr_, 8 * kMiB);
@@ -47,6 +48,7 @@ class IodTest : public ::testing::Test {
 
   ModelConfig cfg_;
   Stats stats_;
+  fault::Injector faults_{FaultConfig{}, stats_};
   ib::Fabric fabric_;
   Iod iod_;
   vmem::AddressSpace client_as_;

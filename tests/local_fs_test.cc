@@ -15,7 +15,7 @@ std::vector<std::byte> pattern(u64 n, u8 seed = 1) {
 
 class LocalFsTest : public ::testing::Test {
  protected:
-  LocalFsTest() : fs_("iod0", DiskParams{}, FsParams{}, &stats_) {}
+  LocalFsTest() : fs_("iod0", DiskParams{}, FsParams{}, stats_) {}
   Stats stats_;
   LocalFs fs_;
 };
@@ -111,14 +111,14 @@ TEST_F(LocalFsTest, SeekSyscallChargedOnNonSequentialAccess) {
   const u32 fd = fs_.create("f").value();
   LocalFile& f = fs_.file(fd);
   f.pwrite(0, pattern(64 * kKiB));
-  EXPECT_EQ(stats_.get("fs.lseek"), 0);  // first write at position 0
+  EXPECT_EQ(stats_.get(stat::kFsLseek), 0);  // first write at position 0
   std::vector<std::byte> buf(100);
   f.pread(0, buf);  // pos was 64K, now seeks to 0
-  EXPECT_EQ(stats_.get("fs.lseek"), 1);
+  EXPECT_EQ(stats_.get(stat::kFsLseek), 1);
   f.pread(100, buf);  // sequential: no seek
-  EXPECT_EQ(stats_.get("fs.lseek"), 1);
+  EXPECT_EQ(stats_.get(stat::kFsLseek), 1);
   f.pread(10000, buf);
-  EXPECT_EQ(stats_.get("fs.lseek"), 2);
+  EXPECT_EQ(stats_.get(stat::kFsLseek), 2);
 }
 
 TEST_F(LocalFsTest, AccessCountsTracked) {
@@ -226,8 +226,8 @@ TEST(LocalFsRmw, MatchesPreadThenPwrite) {
     dp.cache_capacity = 24 * kPageSize;
     Stats sa;
     Stats sb;
-    LocalFs a("a", dp, FsParams{}, &sa);
-    LocalFs b("b", dp, FsParams{}, &sb);
+    LocalFs a("a", dp, FsParams{}, sa);
+    LocalFs b("b", dp, FsParams{}, sb);
     const IoOpts io{.direct = direct};
     for (LocalFs* fs : {&a, &b}) {
       LocalFile& f = fs->file(fs->create("f").value());

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/injector.h"
+
 namespace pvfsib::pvfs {
 namespace {
 
@@ -11,12 +13,13 @@ class ManagerTest : public ::testing::Test {
  protected:
   ManagerTest()
       : cfg_(ModelConfig::paper_defaults()),
-        fabric_(cfg_.net, &stats_),
-        mgr_(cfg_, fabric_, &stats_),
-        client_hca_("c", client_as_, cfg_.reg, &stats_) {}
+        fabric_(cfg_.net, stats_, faults_),
+        mgr_(cfg_, fabric_, stats_, faults_),
+        client_hca_("c", client_as_, cfg_.reg, stats_) {}
 
   ModelConfig cfg_;
   Stats stats_;
+  fault::Injector faults_{FaultConfig{}, stats_};
   ib::Fabric fabric_;
   Manager mgr_;
   vmem::AddressSpace client_as_;
@@ -136,7 +139,8 @@ TEST(ReplicaPlacement, RejectsImpossibleFactors) {
 }
 
 TEST_F(ManagerTest, ReplicatedCreatePopulatesRotatedSets) {
-  Manager mgr(cfg_, fabric_, &stats_, ManagerOptions{.cluster_iod_count = 4});
+  Manager mgr(cfg_, fabric_, stats_, faults_,
+              ManagerOptions{.cluster_iod_count = 4});
   auto f = mgr.create(client_hca_, TimePoint::origin(), "/rep", 64 * kKiB, 4,
                       /*base_iod=*/0, /*replication_factor=*/2);
   ASSERT_TRUE(f.value.is_ok());
@@ -165,7 +169,8 @@ TEST_F(ManagerTest, ReplicatedCreateRejectedBeyondClusterSize) {
                              /*replication_factor=*/2);
   EXPECT_FALSE(unknown.value.is_ok());
 
-  Manager small(cfg_, fabric_, &stats_, ManagerOptions{.cluster_iod_count = 2});
+  Manager small(cfg_, fabric_, stats_, faults_,
+                ManagerOptions{.cluster_iod_count = 2});
   auto too_wide = small.create(client_hca_, TimePoint::origin(), "/r1",
                                64 * kKiB, 2, /*base_iod=*/0,
                                /*replication_factor=*/3);
@@ -191,7 +196,8 @@ TEST_F(ManagerTest, VersionPlaneIsInertAtFactorOne) {
 }
 
 TEST_F(ManagerTest, VersionsMonotonePerStripeAndTrackedPerReplica) {
-  Manager mgr(cfg_, fabric_, &stats_, ManagerOptions{.cluster_iod_count = 4});
+  Manager mgr(cfg_, fabric_, stats_, faults_,
+              ManagerOptions{.cluster_iod_count = 4});
   auto f = mgr.create(client_hca_, TimePoint::origin(), "/rep", 64 * kKiB, 4,
                       /*base_iod=*/0, /*replication_factor=*/2);
   ASSERT_TRUE(f.value.is_ok());
@@ -217,7 +223,8 @@ TEST_F(ManagerTest, VersionsMonotonePerStripeAndTrackedPerReplica) {
 }
 
 TEST_F(ManagerTest, ResyncTargetsListStaleReplicasWithCurrentPeers) {
-  Manager mgr(cfg_, fabric_, &stats_, ManagerOptions{.cluster_iod_count = 4});
+  Manager mgr(cfg_, fabric_, stats_, faults_,
+              ManagerOptions{.cluster_iod_count = 4});
   auto f = mgr.create(client_hca_, TimePoint::origin(), "/rep", 64 * kKiB, 4,
                       /*base_iod=*/0, /*replication_factor=*/2);
   const Handle h = f.value.value().handle;
@@ -248,7 +255,8 @@ TEST_F(ManagerTest, ResyncTargetsListStaleReplicasWithCurrentPeers) {
 // longer knows, or from an iod outside the stripe's chain.
 
 TEST_F(ManagerTest, NoteFromOutOfSetIodCreatesNoStripeState) {
-  Manager mgr(cfg_, fabric_, &stats_, ManagerOptions{.cluster_iod_count = 4});
+  Manager mgr(cfg_, fabric_, stats_, faults_,
+              ManagerOptions{.cluster_iod_count = 4});
   auto f = mgr.create(client_hca_, TimePoint::origin(), "/rep", 64 * kKiB, 4,
                       /*base_iod=*/0, /*replication_factor=*/2);
   const Handle h = f.value.value().handle;
@@ -259,7 +267,8 @@ TEST_F(ManagerTest, NoteFromOutOfSetIodCreatesNoStripeState) {
 }
 
 TEST_F(ManagerTest, LateAckAfterRemoveDoesNotResurrectStripeState) {
-  Manager mgr(cfg_, fabric_, &stats_, ManagerOptions{.cluster_iod_count = 4});
+  Manager mgr(cfg_, fabric_, stats_, faults_,
+              ManagerOptions{.cluster_iod_count = 4});
   auto f = mgr.create(client_hca_, TimePoint::origin(), "/rep", 64 * kKiB, 4,
                       /*base_iod=*/0, /*replication_factor=*/2);
   const Handle h = f.value.value().handle;
@@ -282,7 +291,8 @@ TEST_F(ManagerTest, LateAckAfterRemoveDoesNotResurrectStripeState) {
 }
 
 TEST_F(ManagerTest, RemoveDropsStripeState) {
-  Manager mgr(cfg_, fabric_, &stats_, ManagerOptions{.cluster_iod_count = 4});
+  Manager mgr(cfg_, fabric_, stats_, faults_,
+              ManagerOptions{.cluster_iod_count = 4});
   auto f = mgr.create(client_hca_, TimePoint::origin(), "/rep", 64 * kKiB, 4,
                       /*base_iod=*/0, /*replication_factor=*/2);
   const Handle h = f.value.value().handle;
@@ -299,9 +309,9 @@ TEST_F(ManagerTest, RemoveDropsStripeState) {
 class TakeoverTest : public ManagerTest {
  protected:
   TakeoverTest()
-      : primary_(cfg_, fabric_, &stats_,
+      : primary_(cfg_, fabric_, stats_, faults_,
                  ManagerOptions{.cluster_iod_count = 4}),
-        standby_(cfg_, fabric_, &stats_,
+        standby_(cfg_, fabric_, stats_, faults_,
                  ManagerOptions{.cluster_iod_count = 4, .name = "mgr2"}) {
     primary_.attach_epoch(&cell_, /*active=*/true);
     standby_.attach_epoch(&cell_, /*active=*/false);

@@ -69,16 +69,17 @@ class ShardedManagerTest : public ::testing::Test {
  protected:
   ShardedManagerTest()
       : cfg_(ModelConfig::paper_defaults()),
-        fabric_(cfg_.net, &stats_),
-        mgr_(cfg_, fabric_, &stats_,
+        fabric_(cfg_.net, stats_, faults_),
+        mgr_(cfg_, fabric_, stats_, faults_,
              ManagerOptions{.cluster_iod_count = 4,
                             .name = "mgr1",
                             .shard_id = 1,
                             .shard_count = 4}),
-        client_hca_("c", client_as_, cfg_.reg, &stats_) {}
+        client_hca_("c", client_as_, cfg_.reg, stats_) {}
 
   ModelConfig cfg_;
   Stats stats_;
+  fault::Injector faults_{FaultConfig{}, stats_};
   ib::Fabric fabric_;
   Manager mgr_;
   vmem::AddressSpace client_as_;

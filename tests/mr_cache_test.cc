@@ -7,7 +7,7 @@ namespace {
 
 class MrCacheTest : public ::testing::Test {
  protected:
-  MrCacheTest() : hca_("n0", as_, params(), &stats_), cache_(hca_) {}
+  MrCacheTest() : hca_("n0", as_, params(), stats_), cache_(hca_) {}
 
   static RegParams params() {
     RegParams p;

@@ -9,10 +9,10 @@ namespace {
 
 class OgrTest : public ::testing::Test {
  protected:
-  OgrTest() : hca_("c0", as_, RegParams{}, &stats_), cache_(hca_) {}
+  OgrTest() : hca_("c0", as_, RegParams{}, stats_), cache_(hca_) {}
 
   GroupRegistrar make(OgrConfig cfg = {}) {
-    return GroupRegistrar(cache_, OsParams{}, cfg, &stats_);
+    return GroupRegistrar(cache_, OsParams{}, cfg, stats_);
   }
 
   // Rows of a subarray: `rows` buffers of `row_bytes`, strided by
@@ -100,9 +100,7 @@ TEST_F(OgrTest, FewBuffersFallBackIndividually) {
     segs.push_back({as_.alloc(kPageSize), kPageSize});
     as_.skip(kPageSize);
   }
-  OgrConfig cfg;
-  cfg.individual_fallback_max = 8;
-  GroupRegistrar ogr = make(cfg);
+  GroupRegistrar ogr = make();
   OgrOutcome out = ogr.acquire(segs);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out.os_queries, 0u);  // cheap path: registered as given

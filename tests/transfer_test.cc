@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "fault/injector.h"
 
 namespace pvfsib::core {
 namespace {
@@ -10,11 +11,11 @@ namespace {
 class TransferTest : public ::testing::Test {
  protected:
   TransferTest()
-      : client_hca_("client", client_as_, RegParams{}, &stats_),
-        server_hca_("server", server_as_, RegParams{}, &stats_),
+      : client_hca_("client", client_as_, RegParams{}, stats_),
+        server_hca_("server", server_as_, RegParams{}, stats_),
         cache_(client_hca_),
-        registrar_(cache_, OsParams{}, OgrConfig{}, &stats_),
-        fabric_(NetParams{}, &stats_),
+        registrar_(cache_, OsParams{}, OgrConfig{}, stats_),
+        fabric_(NetParams{}, stats_, faults_),
         xfer_(fabric_, MemParams{}) {
     // Client bounce buffer (the Fast-RDMA buffer), pre-registered.
     ep_.hca = &client_hca_;
@@ -67,6 +68,7 @@ class TransferTest : public ::testing::Test {
 
   vmem::AddressSpace client_as_, server_as_;
   Stats stats_;
+  fault::Injector faults_{FaultConfig{}, stats_};
   ib::Hca client_hca_, server_hca_;
   ib::MrCache cache_;
   GroupRegistrar registrar_;

@@ -10,7 +10,7 @@ class VerbsTest : public ::testing::Test {
   vmem::AddressSpace as_;
   Stats stats_;
   RegParams params_;
-  Hca hca_{"node0", as_, params_, &stats_};
+  Hca hca_{"node0", as_, params_, stats_};
 };
 
 TEST_F(VerbsTest, RegisterMappedRangeSucceeds) {
