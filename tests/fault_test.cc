@@ -114,6 +114,52 @@ TEST(FaultTest, TrivialConfigReportsNoFaultOrRecoveryCounters) {
   }
 }
 
+// Every layer calls the injector's hooks without an enabled() check of its
+// own, so a trivial config must answer "no fault" from the hook itself:
+// no rng draw, no counter and no scheduled event.
+TEST(FaultTest, TrivialConfigInjectorAnswersNoFaultWithoutDrawing) {
+  Stats stats;
+  fault::Injector faults(FaultConfig{}, stats);
+  ASSERT_FALSE(faults.enabled());
+  for (u32 target = 0; target < 4; ++target) {
+    const TimePoint at = TimePoint::origin() + Duration::ms(target);
+    EXPECT_EQ(faults.perturb_transfer(at, 64 * kKiB, 827.0),
+              Duration::zero());
+    EXPECT_FALSE(faults.completion_error());
+    EXPECT_FALSE(faults.iod_down(target, at));
+    EXPECT_FALSE(faults.request_lost(target, at));
+    EXPECT_FALSE(faults.reply_lost(target, at));
+    EXPECT_FALSE(faults.manager_down(at, target));
+    EXPECT_FALSE(faults.meta_request_lost(at, /*primary=*/true, target));
+    EXPECT_FALSE(faults.meta_request_lost(at, /*primary=*/false, target));
+    EXPECT_FALSE(faults.migration_target_crashed(target, at));
+    EXPECT_FALSE(faults.lost_write(target, at));
+    EXPECT_FALSE(faults.torn_write(target, at));
+    EXPECT_FALSE(faults.write_bit_flip(target, at));
+    EXPECT_EQ(faults.disk_factor(target, at), 1.0);
+  }
+
+  sim::Engine engine;
+  u32 fired = 0;
+  faults.install_restart_hooks(engine, [&](u32, TimePoint) { ++fired; });
+  faults.install_corruption_hooks(engine, [&](u32, TimePoint) { ++fired; });
+  faults.install_manager_takeover_hooks(engine, Duration::ms(1.0),
+                                        [&](u32, TimePoint) { ++fired; });
+  EXPECT_TRUE(engine.idle());
+  engine.run();
+  EXPECT_EQ(engine.events_processed(), 0u);
+  EXPECT_EQ(fired, 0u);
+
+  EXPECT_TRUE(stats.counters().empty()) << stats.to_string();
+
+  // The placement stream is where a fresh injector's starts: no hook drew.
+  Stats fresh_stats;
+  fault::Injector fresh(FaultConfig{}, fresh_stats);
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(faults.draw(u64{1} << 40), fresh.draw(u64{1} << 40)) << i;
+  }
+}
+
 TEST(FaultTest, RecoveryKnobsAloneDoNotEnableTheFaultPlane) {
   ModelConfig cfg = ModelConfig::paper_defaults();
   cfg.fault.round_timeout = Duration::ms(1.0);
