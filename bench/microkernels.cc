@@ -2,9 +2,12 @@
 // extent coalescing, list I/O partitioning, OGR group planning, datatype
 // flattening, and ADS window planning. These run on the real CPU (no
 // simulated time) — they are the costs a production client library would
-// pay per operation.
+// pay per operation. BM_ByteMover measures the simulator's own copy path.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
+#include "common/byte_mover.h"
 #include "core/ads.h"
 #include "core/listio.h"
 #include "core/ogr.h"
@@ -101,6 +104,60 @@ void BM_AdsDecide(benchmark::State& state) {
                           static_cast<i64>(n));
 }
 BENCHMARK(BM_AdsDecide)->Range(64, 8192);
+
+// One round's copy batch: `piece`-byte pieces (0: one contiguous op)
+// gathered into every other piece-sized slot of the destination, `total`
+// bytes in all, through a ByteMover with 0 (inline), 1 or 3 workers. Each
+// batch takes the next slice of a 16 MiB source and a 32 MiB destination
+// pool, so, as in a simulation, its bytes are not in the caller's L1/L2.
+// Only the copy() call is timed; before each one the caller busies itself
+// for `gap_us`, the simulator's work between two rounds: a gap inside the
+// workers' spin budget finds them awake, a longer one shows what waking
+// them costs. Sets ByteMover::kParallelMinBytes and the spin budget.
+void BM_ByteMover(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const u64 piece = static_cast<u64>(state.range(0));
+  const u64 total = static_cast<u64>(state.range(1));
+  ByteMover mover(static_cast<u32>(state.range(2)));
+  const auto gap = std::chrono::microseconds(state.range(3));
+  const u64 len = piece == 0 ? total : piece;
+  const u64 slices = 16 * kMiB / total;
+  std::vector<std::byte> src(slices * total, std::byte{0x5a});
+  std::vector<std::byte> dst(2 * slices * total, std::byte{0});
+  std::vector<std::vector<CopyOp>> batches(slices);
+  for (u64 k = 0; k < slices; ++k) {
+    for (u64 at = 0; at < total; at += len) {
+      batches[k].push_back({dst.data() + 2 * (k * total + at),
+                            src.data() + k * total + at,
+                            std::min(len, total - at)});
+    }
+  }
+  u64 next = 0;
+  for (auto _ : state) {
+    for (const auto until = Clock::now() + gap; Clock::now() < until;) {
+    }
+    const auto t0 = Clock::now();
+    mover.copy(batches[next++ % slices]);
+    const auto t1 = Clock::now();
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(total));
+}
+// Every run does 2000 batches: the untimed gap would make google-benchmark's
+// own iteration count cost minutes.
+BENCHMARK(BM_ByteMover)
+    ->ArgNames({"piece", "total", "workers", "gap_us"})
+    ->ArgsProduct({{1024, 3072},
+                   {16 * 1024, 32 * 1024, 64 * 1024, 128 * 1024, 256 * 1024,
+                    1024 * 1024},
+                   {0, 1, 3},
+                   {0, 20, 100}})
+    ->ArgsProduct({{0}, {4 * 1024 * 1024}, {0, 1, 3}, {0, 20, 100}})
+    ->Iterations(2000)
+    ->UseManualTime();
 
 }  // namespace
 }  // namespace pvfsib
