@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/byte_mover.h"
 #include "common/rng.h"
 
 namespace pvfsib::pvfs {
@@ -267,6 +268,65 @@ TEST_F(PvfsTest, AdsOffServicesSeparately) {
   EXPECT_EQ(cluster_.stats().get(stat::kAdsSeparate), separate_before);
   for (u64 i = 0; i < 128; ++i) {
     ASSERT_TRUE(equal_mem(c, big + i * 2048, dst + i * 512, 512)) << i;
+  }
+}
+
+// List I/O whose pieces overlap ends as if the pieces moved one by one in
+// request order: the later piece's bytes win. The pieces are 64 KiB, so
+// each round's copy batch is large enough that the byte mover's overlap
+// check decides how it is copied, not its size threshold.
+static_assert(2 * 64 * kKiB >= ByteMover::kParallelMinBytes);
+
+TEST_F(PvfsTest, ListReadIntoOverlappingMemoryKeepsTheLaterPiece) {
+  for (const bool ads : {false, true}) {
+    SCOPED_TRACE(ads ? "ADS" : "no ADS");
+    Client& c = cluster_.client(0);
+    OpenFile f = c.create(ads ? "/overlap-read-ads" : "/overlap-read").value();
+    const u64 n = 64 * kKiB;
+    const u64 src = c.memory().alloc(5 * n);
+    fill(c, src, 5 * n, 21);
+    ASSERT_TRUE(c.write(f, 0, src, 5 * n).ok());
+    // File offsets 0 and 256 KiB are stripes 0 and 4, both on the base
+    // iod; the second memory segment starts halfway into the first.
+    const u64 dst = c.memory().alloc(2 * n);
+    core::ListIoRequest req;
+    req.mem = {{dst, n}, {dst + n / 2, n}};
+    req.file = {{0, n}, {4 * n, n}};
+    IoOptions opts;
+    opts.use_ads = ads;
+    IoResult r = c.read_list(f, req, opts);
+    ASSERT_TRUE(r.ok()) << r.status.to_string();
+    EXPECT_TRUE(equal_mem(c, dst, src, n / 2));
+    EXPECT_TRUE(equal_mem(c, dst + n / 2, src + 4 * n, n));
+  }
+}
+
+TEST_F(PvfsTest, ListWriteOfOneExtentTwiceLeavesTheSecondPiece) {
+  for (const bool ads : {false, true}) {
+    SCOPED_TRACE(ads ? "ADS" : "no ADS");
+    Client& c = cluster_.client(0);
+    OpenFile f =
+        c.create(ads ? "/overlap-write-ads" : "/overlap-write").value();
+    const u64 n = 64 * kKiB;
+    const u64 src = c.memory().alloc(2 * n);
+    fill(c, src, 2 * n, 31);
+    core::ListIoRequest req;
+    req.mem = {{src, n}, {src + n, n}};
+    req.file = {{0, n}, {0, n}};
+    IoOptions opts;
+    opts.use_ads = ads;
+    const i64 sieved_before = cluster_.stats().get(stat::kAdsSieved);
+    IoResult w = c.write_list(f, req, opts);
+    ASSERT_TRUE(w.ok()) << w.status.to_string();
+    EXPECT_EQ(cluster_.stats().get(stat::kAdsSieved) > sieved_before, ads);
+    const disk::LocalFile& lf =
+        cluster_.iod(f.meta.base_iod).file(f.meta.handle);
+    ASSERT_EQ(lf.size(), n);
+    EXPECT_EQ(std::memcmp(lf.contents().data(), c.memory().data(src + n), n),
+              0);
+    const u64 back = c.memory().alloc(n);
+    ASSERT_TRUE(c.read(f, 0, back, n).ok());
+    EXPECT_TRUE(equal_mem(c, back, src + n, n));
   }
 }
 
