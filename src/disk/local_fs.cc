@@ -96,6 +96,28 @@ Timed<u64> LocalFile::pread(u64 off, std::span<std::byte> dst, IoOpts opts) {
   return rd;
 }
 
+Timed<u64> LocalFile::preadv(std::span<const Extent> accesses,
+                             std::span<std::byte> dst, IoOpts opts) {
+  Timed<u64> out{0, Duration::zero()};
+  std::vector<CopyOp>& batch = fs_->batch_;
+  batch.clear();
+  u64 at = 0;
+  for (const Extent& a : accesses) {
+    // charge_read never grows the file, so its bytes stay put.
+    const Timed<u64> rd = charge_read(a.offset, a.length, opts);
+    out.value += rd.value;
+    out.cost += rd.cost;
+    const std::span<std::byte> piece = dst.subspan(at, a.length);
+    if (rd.value > 0) {
+      batch.push_back({piece.data(), content_.data() + a.offset, rd.value});
+    }
+    std::fill(piece.begin() + rd.value, piece.end(), std::byte{0});
+    at += a.length;
+  }
+  ByteMover::shared().copy(batch);
+  return out;
+}
+
 Timed<u64> LocalFile::pwrite(u64 off, std::span<const std::byte> src,
                              IoOpts opts) {
   const Duration cost = charge_write(off, src.size(), opts);
@@ -103,12 +125,24 @@ Timed<u64> LocalFile::pwrite(u64 off, std::span<const std::byte> src,
   return {src.size(), cost};
 }
 
-Duration LocalFile::read_modify_write(
-    const Extent& window,
-    const std::function<void(std::span<std::byte>)>& modify, IoOpts opts) {
-  Duration cost = charge_read(window.offset, window.length, opts).cost;
-  cost += charge_write(window.offset, window.length, opts);
-  modify({content_.data() + window.offset, window.length});
+Duration LocalFile::read_modify_write(std::span<const Extent> windows,
+                                      std::span<const Patch> patches,
+                                      IoOpts opts) {
+  Duration cost = Duration::zero();
+  for (const Extent& w : windows) {
+    cost += charge_read(w.offset, w.length, opts).cost;
+    cost += charge_write(w.offset, w.length, opts);
+  }
+  // A window past EOF grew the file, which may have moved its bytes: the
+  // patches' destinations are resolved only now.
+  std::vector<CopyOp>& batch = fs_->batch_;
+  batch.clear();
+  for (const Patch& p : patches) {
+    assert(p.offset + p.bytes.size() <= size());
+    batch.push_back({content_.data() + p.offset, p.bytes.data(),
+                     p.bytes.size()});
+  }
+  ByteMover::shared().copy(batch);
   return cost;
 }
 

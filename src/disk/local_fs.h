@@ -7,7 +7,6 @@
 // counted as one disk access in the Table 6 profile.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <span>
@@ -15,6 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/byte_mover.h"
 #include "common/config.h"
 #include "common/sim_time.h"
 #include "common/stats.h"
@@ -39,18 +39,29 @@ class LocalFile {
   // Read up to dst.size() bytes at `off`; short count at EOF.
   Timed<u64> pread(u64 off, std::span<std::byte> dst, IoOpts opts = {});
 
+  // Read each access into the next accesses[i].length bytes of `dst`
+  // (sized to their sum), charging each exactly as one pread(access) does,
+  // then move every byte in one ByteMover batch. A short read's tail (past
+  // EOF) reads as zeros. Returns the bytes read from the file.
+  Timed<u64> preadv(std::span<const Extent> accesses, std::span<std::byte> dst,
+                    IoOpts opts = {});
+
   // Write src at `off`, growing (and zero-filling) the file as needed.
   Timed<u64> pwrite(u64 off, std::span<const std::byte> src, IoOpts opts = {});
 
-  // Sieved write-back in place: charges exactly what pread(window) then
-  // pwrite(window) charge (cost, lseek, Stats, page-cache inserts and
-  // evictions, allocated-block map, growth), then hands `modify` the file's
-  // own bytes of `window` (zero past the old EOF) to patch, instead of
-  // copying the window out to a buffer and back.
-  Duration read_modify_write(
-      const Extent& window,
-      const std::function<void(std::span<std::byte>)>& modify,
-      IoOpts opts = {});
+  // One piece of a sieved write-back: `bytes` land at file offset `offset`.
+  struct Patch {
+    u64 offset = 0;
+    std::span<const std::byte> bytes;
+  };
+  // Sieved write-back in place for a round's windows: charges, window by
+  // window, exactly what pread(window) then pwrite(window) charge (cost,
+  // lseek, Stats, page-cache inserts and evictions, allocated-block map,
+  // growth), then applies every patch, in order, to the file's own bytes
+  // (zero past the old EOF) in one ByteMover batch, instead of copying
+  // each window out to a buffer and back. Every patch lies in a window.
+  Duration read_modify_write(std::span<const Extent> windows,
+                             std::span<const Patch> patches, IoOpts opts = {});
 
   // Flush dirty pages to media.
   Duration fsync();
@@ -183,6 +194,8 @@ class LocalFs {
   // positions never move); the live ones by path.
   std::vector<std::unique_ptr<LocalFile>> files_;
   std::unordered_map<std::string, u32> by_path_;
+  // preadv's and read_modify_write's copy batch, reused across calls.
+  std::vector<CopyOp> batch_;
 
   // Files are laid out 4 GiB apart on the simulated platter so inter-file
   // seeks are long and intra-file seeks short.

@@ -1,7 +1,6 @@
 #include "ib/fabric.h"
 
 #include <cassert>
-#include <cstring>
 
 #include "fault/injector.h"
 
@@ -73,18 +72,29 @@ TransferResult Fabric::rdma_common(Op op, Hca& local,
     return out;
   }
 
-  // Move the payload now; timing is virtual but the bytes are real.
-  vmem::AddressSpace& las = local.address_space();
-  vmem::AddressSpace& ras = remote.address_space();
+  // Move the payload now, as one batch; timing is virtual but the bytes
+  // are real. Growing a destination may move its address space, so every
+  // destination grows before any pointer is taken.
+  const bool is_write = op == Op::kWrite;
+  vmem::AddressSpace& dst_as =
+      is_write ? remote.address_space() : local.address_space();
+  const vmem::AddressSpace& src_as =
+      is_write ? local.address_space() : remote.address_space();
   u64 rpos = raddr;
   for (const Sge& s : sges) {
-    if (op == Op::kWrite) {
-      std::memcpy(ras.data(rpos), las.data(s.addr), s.length);
-    } else {
-      std::memcpy(las.data(s.addr), ras.data(rpos), s.length);
-    }
+    dst_as.writable_span(is_write ? rpos : s.addr, s.length);
     rpos += s.length;
   }
+  batch_.clear();
+  rpos = raddr;
+  for (const Sge& s : sges) {
+    const u64 dst = is_write ? rpos : s.addr;
+    const u64 src = is_write ? s.addr : rpos;
+    batch_.push_back({dst_as.writable_span(dst, s.length).data(),
+                      src_as.readable_span(src, s.length).data(), s.length});
+    rpos += s.length;
+  }
+  ByteMover::shared().copy(batch_);
 
   const double bw =
       op == Op::kWrite ? params_.rdma_write_bw : params_.rdma_read_bw;

@@ -20,7 +20,9 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
+#include "common/byte_mover.h"
 #include "common/config.h"
 #include "common/stats.h"
 #include "ib/verbs.h"
@@ -97,6 +99,7 @@ class Fabric {
   NetParams params_;
   Stats& stats_;
   fault::Injector& faults_;
+  std::vector<CopyOp> batch_;  // rdma_common's payload, reused per transfer
 };
 
 }  // namespace pvfsib::ib

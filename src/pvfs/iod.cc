@@ -130,22 +130,21 @@ Iod::DiskPhase Iod::write_disk_phase(const RoundRequest& r,
       return out;
     }
     out.cost += lk.value().cost;
+    // Charged as reading each whole window and writing it back; the host
+    // patches just the wanted pieces from the packed stream in place.
+    rmw_windows_.clear();
+    rmw_patches_.clear();
     for (const auto& w : decision.windows) {
-      // Charged as reading the whole window and writing it back; the host
-      // patches just the wanted pieces from the packed stream in place.
+      rmw_windows_.push_back(w.span);
       u64 wanted = 0;
-      out.cost += f.read_modify_write(
-          w.span,
-          [&](std::span<std::byte> window) {
-            for (const auto& p : w.pieces) {
-              std::memcpy(window.data() + p.window_off,
-                          stream.data() + p.stream_off, p.length);
-              wanted += p.length;
-            }
-          },
-          io);
+      for (const auto& p : w.pieces) {
+        rmw_patches_.push_back({w.span.offset + p.window_off,
+                                stream.subspan(p.stream_off, p.length)});
+        wanted += p.length;
+      }
       out.cost += cfg_.mem.copy_cost(wanted);
     }
+    out.cost += f.read_modify_write(rmw_windows_, rmw_patches_, io);
     out.cost += f.unlock_range(lk.value().id);
   }
 
@@ -441,20 +440,12 @@ void Iod::resync_step(std::shared_ptr<ResyncState> st) {
 Iod::DiskPhase Iod::read_separate_phase(const RoundRequest& r,
                                         u64 staging_addr) {
   DiskPhase out;
-  disk::LocalFile& f = file(r.handle);
-  u64 stream_off = 0;
-  for (const Extent& a : r.accesses) {
-    Timed<u64> rd = f.pread(
-        a.offset, as_.writable_span(staging_addr + stream_off, a.length), {});
-    out.cost += rd.cost;
-    if (rd.value < a.length) {
-      // Reading a hole / past EOF yields zeros (PVFS semantics for stripes
-      // never written).
-      std::memset(as_.data(staging_addr + stream_off + rd.value), 0,
-                  a.length - rd.value);
-    }
-    stream_off += a.length;
-  }
+  // Reading a hole / past EOF yields zeros (PVFS semantics for stripes
+  // never written).
+  out.cost = file(r.handle)
+                 .preadv(r.accesses,
+                         as_.writable_span(staging_addr, r.bytes()), {})
+                 .cost;
   out.status = Status::ok();
   return out;
 }

@@ -265,6 +265,9 @@ class Iod {
   u32 slots_per_client_ = 1;
   u64 sieve_addr_ = 0;  // sieve buffer for sieved reads, registered
   u32 sieve_key_ = 0;
+  // A sieved write round's windows and patches, reused across rounds.
+  std::vector<Extent> rmw_windows_;
+  std::vector<disk::LocalFile::Patch> rmw_patches_;
   std::map<Handle, u32> files_;  // handle -> local fd
   // Highest applied round_seq per (client, slot): the replay-dedupe log.
   // Kept as if durable (a crash-restarted iod still recognises replays).

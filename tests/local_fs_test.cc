@@ -214,61 +214,137 @@ TEST_F(LocalFsTest, BlockChecksumsCatchCorruptionBehindAStamp) {
   EXPECT_TRUE(f.verify({{0, 40 * kKiB}}));  // the old stamps went too
 }
 
+// Two file systems built the same way: a page cache small enough to evict,
+// and a file of [0, 40 KiB) and [200 KiB, 230 KiB) with a hole between,
+// fsynced, then partly re-read into the cache.
+void make_sparse_file(LocalFs& fs) {
+  LocalFile& f = fs.file(fs.create("f").value());
+  f.pwrite(0, pattern(40 * kKiB, 3));
+  f.pwrite(200 * kKiB, pattern(30 * kKiB, 4));  // EOF at 230 KiB
+  f.fsync();
+  std::vector<std::byte> buf(12 * kKiB);
+  f.pread(4 * kKiB, buf);  // part of the file cached
+}
+
+DiskParams small_cache() {
+  DiskParams dp;
+  dp.cache_capacity = 24 * kPageSize;
+  return dp;
+}
+
 // read_modify_write charges exactly what pread(window) followed by
-// pwrite(window) charges, and leaves the same bytes, while only the patched
-// pieces are copied. Checked on two identical file systems with a page cache
-// small enough to evict, for a window inside the file, one over a hole and
-// one across EOF, with and without O_DIRECT.
+// pwrite(window) charges for each window of a round in turn, and leaves
+// the same bytes, while only the patched pieces are copied. Checked on two
+// identical file systems for one round whose windows lie inside the file,
+// over a hole and across EOF (so the last one grows the file), with and
+// without O_DIRECT. The 128 KiB of patches reach
+// ByteMover::kParallelMinBytes.
 TEST(LocalFsRmw, MatchesPreadThenPwrite) {
   for (const bool direct : {false, true}) {
     SCOPED_TRACE(direct ? "direct" : "cached");
-    DiskParams dp;
-    dp.cache_capacity = 24 * kPageSize;
     Stats sa;
     Stats sb;
-    LocalFs a("a", dp, FsParams{}, sa);
-    LocalFs b("b", dp, FsParams{}, sb);
-    const IoOpts io{.direct = direct};
-    for (LocalFs* fs : {&a, &b}) {
-      LocalFile& f = fs->file(fs->create("f").value());
-      f.pwrite(0, pattern(40 * kKiB, 3));
-      f.pwrite(200 * kKiB, pattern(30 * kKiB, 4));  // EOF at 230 KiB
-      f.fsync();
-      std::vector<std::byte> buf(12 * kKiB);
-      f.pread(4 * kKiB, buf);  // part of the file cached
-    }
+    LocalFs a("a", small_cache(), FsParams{}, sa);
+    LocalFs b("b", small_cache(), FsParams{}, sb);
+    make_sparse_file(a);
+    make_sparse_file(b);
     LocalFile& fa = a.file(0);
     LocalFile& fb = b.file(0);
+    const IoOpts io{.direct = direct};
     const Extent windows[] = {
-        {3 * kKiB + 100, 30 * kKiB},  // inside the file
+        {3 * kKiB + 100, 34 * kKiB},  // inside the file
         {60 * kKiB, 100 * kKiB},      // over the hole
         {220 * kKiB + 7, 40 * kKiB},  // across EOF
     };
-    for (const Extent& w : windows) {
-      SCOPED_TRACE(to_string(w));
-      // Three pieces of the window, from a packed stream.
-      const std::vector<std::byte> stream = pattern(3 * kKiB, 9);
-      const u64 piece_off[] = {0, w.length / 2, w.length - kKiB};
-      auto patch = [&](std::span<std::byte> window) {
-        for (u64 i = 0; i < 3; ++i) {
-          std::copy_n(stream.begin() + i * kKiB, kKiB,
-                      window.begin() + piece_off[i]);
-        }
-      };
+    // 16 KiB pieces at these window offsets, from one packed stream.
+    constexpr u64 kPiece = 16 * kKiB;
+    const std::vector<u64> piece_at[] = {
+        {0, 18 * kKiB}, {0, 28 * kKiB, 56 * kKiB, 84 * kKiB}, {0, 24 * kKiB}};
+    const std::vector<std::byte> stream = pattern(8 * kPiece, 9);
+    std::vector<LocalFile::Patch> patches;
+    for (size_t i = 0; i < std::size(windows); ++i) {
+      for (const u64 at : piece_at[i]) {
+        patches.push_back(
+            {windows[i].offset + at,
+             std::span(stream).subspan(patches.size() * kPiece, kPiece)});
+      }
+    }
+    ASSERT_EQ(patches.size() * kPiece, ByteMover::kParallelMinBytes);
 
+    Duration want = Duration::zero();
+    for (const Extent& w : windows) {
       std::vector<std::byte> buf(w.length);
       Timed<u64> rd = fa.pread(w.offset, buf, io);
       std::fill(buf.begin() + rd.value, buf.end(), std::byte{0});
-      patch(buf);
-      const Duration want = rd.cost + fa.pwrite(w.offset, buf, io).cost;
-
-      EXPECT_EQ(fb.read_modify_write(w, patch, io), want);
-      EXPECT_EQ(sb.counters(), sa.counters());
-      EXPECT_EQ(fb.size(), fa.size());
-      ASSERT_TRUE(std::ranges::equal(fb.contents(), fa.contents()));
+      for (const LocalFile::Patch& p : patches) {
+        if (w.contains(Extent{p.offset, p.bytes.size()})) {
+          std::ranges::copy(p.bytes, buf.begin() + (p.offset - w.offset));
+        }
+      }
+      want += rd.cost + fa.pwrite(w.offset, buf, io).cost;
     }
+
+    EXPECT_EQ(fb.read_modify_write(windows, patches, io), want);
+    EXPECT_EQ(sb.counters(), sa.counters());
+    EXPECT_EQ(fb.size(), 260 * kKiB + 7);
+    EXPECT_EQ(fb.size(), fa.size());
+    EXPECT_TRUE(std::ranges::equal(fb.contents(), fa.contents()));
     EXPECT_GT(sa.get("fs.lseek"), 0);
     EXPECT_EQ(b.cache().flush_dirty(0), a.cache().flush_dirty(0));
+  }
+}
+
+// preadv charges each access exactly as one pread does and leaves the same
+// bytes, zero-filling what lies past EOF. Checked on two identical file
+// systems for accesses inside the file, over a hole, across EOF and
+// overlapping another access's file range, with and without O_DIRECT; the
+// 148 KiB read from the file is above ByteMover::kParallelMinBytes.
+TEST(LocalFsPreadv, MatchesOnePreadPerAccess) {
+  for (const bool direct : {false, true}) {
+    SCOPED_TRACE(direct ? "direct" : "cached");
+    Stats sa;
+    Stats sb;
+    LocalFs a("a", small_cache(), FsParams{}, sa);
+    LocalFs b("b", small_cache(), FsParams{}, sb);
+    make_sparse_file(a);
+    make_sparse_file(b);
+    LocalFile& fa = a.file(0);
+    LocalFile& fb = b.file(0);
+    const IoOpts io{.direct = direct};
+    const ExtentList accesses = {
+        {3 * kKiB + 100, 30 * kKiB},  // inside the file
+        {60 * kKiB, 100 * kKiB},      // over the hole
+        {220 * kKiB + 7, 40 * kKiB},  // across EOF
+        {10 * kKiB, 8 * kKiB},        // overlaps the first access
+    };
+    const u64 total = total_length(accesses);
+
+    std::vector<std::byte> want(total, std::byte{0x5a});
+    Timed<u64> want_rd{0, Duration::zero()};
+    u64 at = 0;
+    for (const Extent& x : accesses) {
+      const std::span<std::byte> piece = std::span(want).subspan(at, x.length);
+      const Timed<u64> rd = fa.pread(x.offset, piece, io);
+      std::fill(piece.begin() + rd.value, piece.end(), std::byte{0});
+      want_rd.value += rd.value;
+      want_rd.cost += rd.cost;
+      at += x.length;
+    }
+
+    std::vector<std::byte> got(total, std::byte{0x5a});
+    const Timed<u64> rd = fb.preadv(accesses, got, io);
+    EXPECT_GT(rd.value, ByteMover::kParallelMinBytes);
+    EXPECT_EQ(rd.value, want_rd.value);
+    EXPECT_EQ(rd.cost, want_rd.cost);
+    EXPECT_EQ(sb.counters(), sa.counters());
+    EXPECT_EQ(got, want);
+    const Extent all{0, 1 * kMiB};
+    EXPECT_EQ(b.cache().cached_ranges(0, all), a.cache().cached_ranges(0, all));
+    EXPECT_EQ(b.cache().pages_cached(), a.cache().pages_cached());
+    // Same LRU order: a read that evicts again costs the same on both.
+    std::vector<std::byte> buf(230 * kKiB);
+    EXPECT_EQ(fb.pread(0, buf, io).cost, fa.pread(0, buf, io).cost);
+    EXPECT_EQ(b.cache().cached_ranges(0, all), a.cache().cached_ranges(0, all));
   }
 }
 
