@@ -163,6 +163,43 @@ TEST(LoadEngine, DifferentSeedsDiverge) {
   EXPECT_NE(e1.run().fingerprint(), e2.run().fingerprint());
 }
 
+TEST(LoadEngine, InertFaultPlaneLeavesReplicatedRunsUnchanged) {
+  // A fault plane that injects nothing must not change a run. Factor-2
+  // reads that race writes to the same stripes are the case that matters:
+  // a write acked between the iod serving a read and the read's finish
+  // must not make the serving replica look like it lost that write.
+  LoadConfig lc;
+  lc.population = 2;
+  lc.mix = OpMix{0.5, 0.5, 0.0, 0.0, 0.0};
+  lc.ramp = Duration::ms(5.0);
+  lc.measure = Duration::ms(30.0);
+  const auto run = [&lc](bool inert_plane, i64* detected) {
+    ModelConfig cfg = ModelConfig::paper_defaults();
+    cfg.replication.factor = 2;
+    if (inert_plane) {
+      // A degrade by 1.0 turns the plane on and slows nothing.
+      cfg.fault.disk_degrade.push_back({/*iod=*/0, /*factor=*/1.0});
+    }
+    pvfs::Cluster cluster(cfg,
+                          pvfs::Cluster::Topology{}.clients(8).iods(4));
+    LoadEngine engine(cluster, lc);
+    const std::string f = engine.run().fingerprint();
+    *detected = cluster.stats().get(stat::kPvfsCorruptionsDetected);
+    return f;
+  };
+  for (u64 seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    lc.seed = seed;
+    i64 detected_off = 0;
+    i64 detected_on = 0;
+    const std::string off = run(false, &detected_off);
+    const std::string on = run(true, &detected_on);
+    EXPECT_EQ(off, on);
+    EXPECT_EQ(detected_off, 0);
+    EXPECT_EQ(detected_on, 0);
+  }
+}
+
 TEST(LoadEngine, ChurnNamespaceConsistency) {
   LoadConfig lc = small_config(31);
   lc.mix.churn = 0.4;  // plenty of create/remove traffic
