@@ -546,7 +546,6 @@ CorruptPoint run_corruption(u32 flips, bool scrub) {
   ModelConfig cfg = ModelConfig::paper_defaults();
   cfg.replication.factor = 2;
   cfg.replication.resync = true;
-  cfg.replication.scrub = scrub;
   cfg.fault.seed = 42;
   cfg.fault.round_timeout = Duration::ms(5.0);
   cfg.fault.backoff_base = Duration::ms(1.0);

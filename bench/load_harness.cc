@@ -181,7 +181,6 @@ Point run_fault_point(u32 clients, u32 iods, u32 shards,
   cfg.replication.factor = 2;
   cfg.replication.write_quorum = 1;
   cfg.replication.resync = true;
-  cfg.replication.scrub = scrub;
   cfg.fault.seed = 42;
   cfg.fault.round_timeout = Duration::ms(2.0);
   cfg.fault.backoff_base = Duration::us(100.0);
@@ -206,8 +205,10 @@ Point run_fault_point(u32 clients, u32 iods, u32 shards,
                                  .clients(clients)
                                  .iods(iods)
                                  .metadata_shards(shards));
-  cluster.start_scrub(TimePoint::origin() + lc.ramp + lc.measure +
-                      Duration::ms(100.0));
+  if (scrub) {
+    cluster.start_scrub(TimePoint::origin() + lc.ramp + lc.measure +
+                        Duration::ms(100.0));
+  }
   load::LoadEngine engine(cluster, lc);
   Point pt;
   pt.clients = clients;

@@ -477,10 +477,6 @@ void Cluster::kick_resync(TimePoint at) {
 }
 
 void Cluster::start_scrub(TimePoint until) {
-  if (cfg_.replication.factor <= 1 || !cfg_.replication.resync ||
-      !cfg_.replication.scrub) {
-    return;
-  }
   for (auto& iod : iods_) iod->start_scrub(until);
 }
 

@@ -169,9 +169,9 @@ class Cluster {
   // reads local stripe data back, verifies block checksums, cross-checks
   // headers against the shard authority's staleness map, and kicks resync
   // for anything found rotten. Ticks stop after `until` so engine.run()
-  // still terminates. No-op unless replication.factor > 1, resync and
-  // scrub are all enabled — a run that never opts in schedules nothing and
-  // stays byte-identical.
+  // still terminates. No-op unless replication.factor > 1 and resync are
+  // on (the iods' resync wiring); a run that never calls it schedules
+  // nothing and stays byte-identical.
   void start_scrub(TimePoint until);
 
  private:

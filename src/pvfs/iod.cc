@@ -692,7 +692,6 @@ struct Iod::ScrubState {
 
 void Iod::start_scrub(TimePoint until) {
   if (engine_ == nullptr || managers_.empty()) return;
-  if (!cfg_.replication.scrub) return;
   auto st = std::make_shared<ScrubState>();
   st->until = until;
   const TimePoint first = engine_->now() + cfg_.replication.scrub_interval;

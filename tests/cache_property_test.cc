@@ -57,7 +57,6 @@ TEST(CacheProperty, RandomSchedulesNeverServeStaleBytes) {
     cfg.replication.factor = 2;
     cfg.replication.resync = true;
     cfg.replication.write_quorum = 1;
-    cfg.replication.scrub = scrub;
     // Short iod crash windows well inside the retry budget.
     const int crashes = static_cast<int>(rng.below(3));
     for (int k = 0; k < crashes; ++k) {

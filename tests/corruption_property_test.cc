@@ -45,7 +45,6 @@ TEST(CorruptionProperty, RandomCorruptionSchedulesLoseNoAckedData) {
     cfg.fault.max_retries = 25;
     cfg.replication.factor = 2;
     cfg.replication.resync = true;
-    cfg.replication.scrub = true;
     // All corruption hits ONE random member of the chain. Factor 2 can
     // only promise recovery while an intact copy exists — independent
     // faults on both copies of a stripe are genuine data loss, in the

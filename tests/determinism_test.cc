@@ -226,7 +226,6 @@ std::string scrub_fingerprint(u64 seed) {
   ModelConfig cfg = faulty_fig6_config(seed);
   cfg.replication.factor = 2;
   cfg.replication.resync = true;
-  cfg.replication.scrub = true;
   cfg.fault.bit_flip_rate = 0.25;
   cfg.fault.torn_write_rate = 0.05;
   Cluster cluster(cfg, 2, 2);
