@@ -3,6 +3,13 @@
 // communication volumes). Every subsystem takes a Stats& and bumps named
 // counters; benches snapshot/diff them.
 //
+// The registry is a dense array. Every counter name lives in one table,
+// stat::kNames, and a stat::Id is an index into it, so a bump is an indexed
+// add. A bitmask records which counters were touched: a counter added to or
+// set, even by 0, is touched and prints, and an untouched one reads as 0
+// and does not print. Output lists the touched counters in lexicographic
+// name order.
+//
 // Also hosts the shared measurement plane the load-generation subsystem and
 // the benches build on: a log-bucketed LatencyHistogram (p50/p99/p999
 // without storing every sample) and IntervalSeries, rolling per-window
@@ -14,10 +21,11 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <limits>
-#include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -25,52 +33,114 @@
 
 namespace pvfsib {
 
+namespace stat {
+
+// The one table of counter names, in byte-wise lexicographic order, so that
+// walking ids in index order prints names in name order. A new counter adds
+// its name here and its Id at the end of this file. Each name views a string
+// literal, so its data() is null-terminated.
+inline constexpr auto kNames = std::to_array<std::string_view>({
+    "ads.extra_bytes", "ads.separate", "ads.sieved", "disk.cache_hit_bytes",
+    "disk.cache_miss_bytes", "disk.read", "disk.read_bytes", "disk.seek",
+    "disk.write", "disk.write_bytes", "fault.injected.bit_flip",
+    "fault.injected.completion_error", "fault.injected.iod_crash",
+    "fault.injected.iod_down_drop", "fault.injected.latency_spike",
+    "fault.injected.lost_write", "fault.injected.manager_crash",
+    "fault.injected.manager_down_drop", "fault.injected.meta_request_drop",
+    "fault.injected.migration_target_crash", "fault.injected.reply_drop",
+    "fault.injected.request_drop", "fault.injected.retransmit",
+    "fault.injected.torn_write", "fs.lock", "fs.lseek", "ib.mr.cache_evict",
+    "ib.mr.cache_hit", "ib.mr.cache_miss", "ib.mr.deregister", "ib.mr.register",
+    "ib.mr.registered_bytes", "ib.rdma.read", "ib.rdma.write", "ib.send",
+    "net.bytes.control", "net.bytes.data", "net.bytes.inter_client",
+    "ogr.fallbacks", "ogr.groups", "ogr.os_queries", "ogr.prereg_ns",
+    "pvfs.cache_hits", "pvfs.cache_invalidations", "pvfs.cache_lease_revokes",
+    "pvfs.cache_misses", "pvfs.corrupt_reads_failed_over",
+    "pvfs.corruptions_detected", "pvfs.corruptions_repaired",
+    "pvfs.epoch_rejections", "pvfs.failovers", "pvfs.manager_takeovers",
+    "pvfs.meta_failovers", "pvfs.meta_retries", "pvfs.migration_aborts",
+    "pvfs.migration_rounds", "pvfs.partial_restarts", "pvfs.pipeline_stalls",
+    "pvfs.quorum_waits", "pvfs.read_repairs", "pvfs.replays_deduped",
+    "pvfs.replica_writes", "pvfs.reply", "pvfs.request", "pvfs.resync_rounds",
+    "pvfs.resync_stripes", "pvfs.retries", "pvfs.rounds_inflight_max",
+    "pvfs.scrub_bytes", "pvfs.scrub_chunks", "pvfs.scrub_corruptions_found",
+    "pvfs.scrub_stale_headers_found", "pvfs.shard_map_refreshes",
+    "pvfs.shard_migrations", "pvfs.shard_redirects", "pvfs.shard_splits",
+    "pvfs.stale_reads_avoided", "pvfs.timeouts", "pvfs.version_remints",
+    "pvfs.wrong_shard_during_migration",
+});
+inline constexpr size_t kCount = kNames.size();
+
+static_assert(std::ranges::adjacent_find(kNames,
+                                         std::ranges::greater_equal{}) ==
+                  kNames.end(),
+              "stat::kNames must be sorted and free of duplicates");
+
+// A counter: the index of its name in kNames. An Id is made only at compile
+// time, from a name in the table (any other name does not compile), and
+// converts back to that name.
+class Id {
+ public:
+  consteval explicit Id(std::string_view name) : index_(index_of(name)) {}
+
+  constexpr u32 index() const { return index_; }
+  constexpr operator const char*() const { return kNames[index_].data(); }
+
+ private:
+  static consteval u32 index_of(std::string_view name) {
+    for (u32 i = 0; i < kCount; ++i) {
+      if (name == kNames[i]) return i;
+    }
+    throw "stat::Id: name is not in stat::kNames";
+  }
+
+  u32 index_;
+};
+
+}  // namespace stat
+
 class Stats {
  public:
-  // The transparent comparator lets the hot-path bumps look up the
-  // stat::k* string literals without constructing a std::string per call;
-  // an allocation only happens the first time a counter name is seen.
-  using CounterMap = std::map<std::string, i64, std::less<>>;
-
-  void add(std::string_view name, i64 delta = 1) { slot(name) += delta; }
-  void set(std::string_view name, i64 value) { slot(name) = value; }
+  void add(stat::Id id, i64 delta = 1) { touch(id.index()) += delta; }
+  void set(stat::Id id, i64 value) { touch(id.index()) = value; }
   // High-water-mark counter: keep the largest value ever reported.
-  void set_max(std::string_view name, i64 value) {
-    i64& s = slot(name);
-    if (value > s) s = value;
+  void set_max(stat::Id id, i64 value) {
+    i64& v = touch(id.index());
+    if (value > v) v = value;
   }
 
-  i64 get(std::string_view name) const {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
+  i64 get(stat::Id id) const { return values_[id.index()]; }
+  // By name, for readers that hold a name; an unknown name reads as 0.
+  i64 get(std::string_view name) const;
+
+  // Whether the counter was ever added to or set (even by 0).
+  bool touched(stat::Id id) const {
+    return (touched_[id.index() / 64] >> (id.index() % 64)) & 1;
   }
 
-  void clear() { counters_.clear(); }
+  void clear() { *this = Stats{}; }
 
-  const CounterMap& counters() const { return counters_; }
+  // The touched counters as (name, value) pairs, in name order.
+  std::vector<std::pair<std::string, i64>> counters() const;
 
-  // Counters in `*this` minus counters in `base` (missing keys read as 0).
-  Stats diff(const Stats& base) const {
-    Stats out;
-    for (const auto& [k, v] : counters_) {
-      const i64 d = v - base.get(k);
-      if (d != 0) out.counters_[k] = d;
-    }
-    return out;
-  }
+  // Counters in `*this` minus counters in `base`: every counter touched in
+  // `*this` whose difference is nonzero (untouched counters read as 0).
+  Stats diff(const Stats& base) const;
 
   std::string to_string() const;
 
  private:
-  i64& slot(std::string_view name) {
-    auto it = counters_.find(name);
-    if (it == counters_.end()) {
-      it = counters_.emplace(std::string(name), 0).first;
-    }
-    return it->second;
+  i64& touch(u32 i) {
+    touched_[i / 64] |= u64{1} << (i % 64);
+    return values_[i];
   }
 
-  CounterMap counters_;
+  // Calls f(index) for every touched counter, in name order.
+  template <typename F>
+  void for_each_touched(F&& f) const;
+
+  std::array<i64, stat::kCount> values_{};  // 0 wherever not touched
+  std::array<u64, (stat::kCount + 63) / 64> touched_{};
 };
 
 // Log-bucketed latency histogram: constant memory, deterministic quantile
@@ -90,8 +160,10 @@ class LatencyHistogram {
     if (ns > max_ns_) max_ns_ = ns;
   }
 
-  // Smallest recorded value v such that at least ceil(p * count) samples
-  // are <= v, reported at bucket resolution. p outside [0, 1] is clamped.
+  // Smallest recorded value v such that at least `rank` samples are <= v,
+  // reported at bucket resolution, where rank = floor(p * count + 0.5), at
+  // least 1 (p = 0.31 with 10 samples is rank 3). p outside [0, 1] is
+  // clamped.
   Duration quantile(double p) const {
     if (count_ == 0) return Duration::zero();
     if (p <= 0.0) return Duration::ns(min_ns_);
@@ -206,69 +278,64 @@ class IntervalSeries {
 
 // Canonical counter names (keep in one place so benches and modules agree).
 namespace stat {
-inline constexpr const char* kMrRegister = "ib.mr.register";
-inline constexpr const char* kMrDeregister = "ib.mr.deregister";
-inline constexpr const char* kMrCacheHit = "ib.mr.cache_hit";
-inline constexpr const char* kMrCacheMiss = "ib.mr.cache_miss";
-inline constexpr const char* kMrCacheEvict = "ib.mr.cache_evict";
-inline constexpr const char* kMrRegisteredBytes = "ib.mr.registered_bytes";
-inline constexpr const char* kRdmaWrite = "ib.rdma.write";
-inline constexpr const char* kRdmaRead = "ib.rdma.read";
-inline constexpr const char* kSend = "ib.send";
-inline constexpr const char* kNetBytesData = "net.bytes.data";
-inline constexpr const char* kNetBytesControl = "net.bytes.control";
-inline constexpr const char* kNetBytesInterClient = "net.bytes.inter_client";
-inline constexpr const char* kDiskRead = "disk.read";
-inline constexpr const char* kDiskWrite = "disk.write";
-inline constexpr const char* kDiskSeek = "disk.seek";
-inline constexpr const char* kDiskReadBytes = "disk.read_bytes";
-inline constexpr const char* kDiskWriteBytes = "disk.write_bytes";
-inline constexpr const char* kFsLseek = "fs.lseek";
-inline constexpr const char* kFsLock = "fs.lock";
-inline constexpr const char* kCacheHitBytes = "disk.cache_hit_bytes";
-inline constexpr const char* kCacheMissBytes = "disk.cache_miss_bytes";
-inline constexpr const char* kPvfsRequest = "pvfs.request";
-inline constexpr const char* kPvfsReply = "pvfs.reply";
+inline constexpr Id kMrRegister{"ib.mr.register"};
+inline constexpr Id kMrDeregister{"ib.mr.deregister"};
+inline constexpr Id kMrCacheHit{"ib.mr.cache_hit"};
+inline constexpr Id kMrCacheMiss{"ib.mr.cache_miss"};
+inline constexpr Id kMrCacheEvict{"ib.mr.cache_evict"};
+inline constexpr Id kMrRegisteredBytes{"ib.mr.registered_bytes"};
+inline constexpr Id kRdmaWrite{"ib.rdma.write"};
+inline constexpr Id kRdmaRead{"ib.rdma.read"};
+inline constexpr Id kSend{"ib.send"};
+inline constexpr Id kNetBytesData{"net.bytes.data"};
+inline constexpr Id kNetBytesControl{"net.bytes.control"};
+inline constexpr Id kNetBytesInterClient{"net.bytes.inter_client"};
+inline constexpr Id kDiskRead{"disk.read"};
+inline constexpr Id kDiskWrite{"disk.write"};
+inline constexpr Id kDiskSeek{"disk.seek"};
+inline constexpr Id kDiskReadBytes{"disk.read_bytes"};
+inline constexpr Id kDiskWriteBytes{"disk.write_bytes"};
+inline constexpr Id kFsLseek{"fs.lseek"};
+inline constexpr Id kFsLock{"fs.lock"};
+inline constexpr Id kCacheHitBytes{"disk.cache_hit_bytes"};
+inline constexpr Id kCacheMissBytes{"disk.cache_miss_bytes"};
+inline constexpr Id kPvfsRequest{"pvfs.request"};
+inline constexpr Id kPvfsReply{"pvfs.reply"};
 // Pipelining (only reported when pipeline_depth > 1 so depth-1 runs keep
 // their counter sets — and therefore their profile tables — seed-identical).
-inline constexpr const char* kPvfsRoundsInflightMax = "pvfs.rounds_inflight_max";
-inline constexpr const char* kPvfsPipelineStalls = "pvfs.pipeline_stalls";
+inline constexpr Id kPvfsRoundsInflightMax{"pvfs.rounds_inflight_max"};
+inline constexpr Id kPvfsPipelineStalls{"pvfs.pipeline_stalls"};
 // Fault plane and recovery (reported only when FaultConfig is non-trivial,
 // so zero-fault runs keep counter sets — and profile tables — identical).
-inline constexpr const char* kFaultRetransmit = "fault.injected.retransmit";
-inline constexpr const char* kFaultLatencySpike = "fault.injected.latency_spike";
-inline constexpr const char* kFaultCompletionError =
-    "fault.injected.completion_error";
-inline constexpr const char* kFaultRequestDrop = "fault.injected.request_drop";
-inline constexpr const char* kFaultReplyDrop = "fault.injected.reply_drop";
-inline constexpr const char* kFaultIodCrash = "fault.injected.iod_crash";
-inline constexpr const char* kFaultIodDownDrop = "fault.injected.iod_down_drop";
-inline constexpr const char* kFaultMetaRequestDrop =
-    "fault.injected.meta_request_drop";
-inline constexpr const char* kFaultManagerCrash =
-    "fault.injected.manager_crash";
-inline constexpr const char* kFaultManagerDownDrop =
-    "fault.injected.manager_down_drop";
-inline constexpr const char* kPvfsRetries = "pvfs.retries";
-inline constexpr const char* kPvfsTimeouts = "pvfs.timeouts";
-inline constexpr const char* kPvfsReplaysDeduped = "pvfs.replays_deduped";
-inline constexpr const char* kPvfsMetaRetries = "pvfs.meta_retries";
+inline constexpr Id kFaultRetransmit{"fault.injected.retransmit"};
+inline constexpr Id kFaultLatencySpike{"fault.injected.latency_spike"};
+inline constexpr Id kFaultCompletionError{"fault.injected.completion_error"};
+inline constexpr Id kFaultRequestDrop{"fault.injected.request_drop"};
+inline constexpr Id kFaultReplyDrop{"fault.injected.reply_drop"};
+inline constexpr Id kFaultIodCrash{"fault.injected.iod_crash"};
+inline constexpr Id kFaultIodDownDrop{"fault.injected.iod_down_drop"};
+inline constexpr Id kFaultMetaRequestDrop{"fault.injected.meta_request_drop"};
+inline constexpr Id kFaultManagerCrash{"fault.injected.manager_crash"};
+inline constexpr Id kFaultManagerDownDrop{"fault.injected.manager_down_drop"};
+inline constexpr Id kPvfsRetries{"pvfs.retries"};
+inline constexpr Id kPvfsTimeouts{"pvfs.timeouts"};
+inline constexpr Id kPvfsReplaysDeduped{"pvfs.replays_deduped"};
+inline constexpr Id kPvfsMetaRetries{"pvfs.meta_retries"};
 // Manager takeover plane (reported only when a standby manager is placed
 // and a manager crash actually fires, so runs without manager faults keep
 // counter sets identical). meta_failovers counts a client re-targeting a
 // metadata request at the other manager; epoch_rejections counts fenced
 // stale-epoch version mints / staleness notes (zombie-primary protection).
-inline constexpr const char* kPvfsMetaFailovers = "pvfs.meta_failovers";
-inline constexpr const char* kPvfsEpochRejections = "pvfs.epoch_rejections";
-inline constexpr const char* kPvfsManagerTakeovers = "pvfs.manager_takeovers";
+inline constexpr Id kPvfsMetaFailovers{"pvfs.meta_failovers"};
+inline constexpr Id kPvfsEpochRejections{"pvfs.epoch_rejections"};
+inline constexpr Id kPvfsManagerTakeovers{"pvfs.manager_takeovers"};
 // Sharded metadata plane (reported only when a request actually hits a
 // wrong-shard manager or a takeover bumps the shard map — never in
 // fault-free runs, whose maps are seeded correct at mount and stay so).
 // shard_redirects counts kWrongShard replies; shard_map_refreshes counts
 // the map refreshes those redirects (and takeovers) deliver to clients.
-inline constexpr const char* kPvfsShardRedirects = "pvfs.shard_redirects";
-inline constexpr const char* kPvfsShardMapRefreshes =
-    "pvfs.shard_map_refreshes";
+inline constexpr Id kPvfsShardRedirects{"pvfs.shard_redirects"};
+inline constexpr Id kPvfsShardMapRefreshes{"pvfs.shard_map_refreshes"};
 // Live shard migration / resharding (reported only when a migration or
 // split is actually started via Cluster::migrate_shard()/split_shards(), so
 // every zero-migration run keeps counter sets — and fingerprints —
@@ -279,56 +346,51 @@ inline constexpr const char* kPvfsShardMapRefreshes =
 // the stream), and wrong_shard_during_migration the kWrongShard redirects
 // answered by a manager that lost the name to a completed migration/split
 // while clients still held stale maps.
-inline constexpr const char* kPvfsShardMigrations = "pvfs.shard_migrations";
-inline constexpr const char* kPvfsShardSplits = "pvfs.shard_splits";
-inline constexpr const char* kPvfsMigrationRounds = "pvfs.migration_rounds";
-inline constexpr const char* kPvfsMigrationAborts = "pvfs.migration_aborts";
-inline constexpr const char* kPvfsWrongShardDuringMigration =
-    "pvfs.wrong_shard_during_migration";
-inline constexpr const char* kFaultMigrationTargetCrash =
-    "fault.injected.migration_target_crash";
+inline constexpr Id kPvfsShardMigrations{"pvfs.shard_migrations"};
+inline constexpr Id kPvfsShardSplits{"pvfs.shard_splits"};
+inline constexpr Id kPvfsMigrationRounds{"pvfs.migration_rounds"};
+inline constexpr Id kPvfsMigrationAborts{"pvfs.migration_aborts"};
+inline constexpr Id kPvfsWrongShardDuringMigration{
+    "pvfs.wrong_shard_during_migration"};
+inline constexpr Id kFaultMigrationTargetCrash{
+    "fault.injected.migration_target_crash"};
 // Client re-minted a write round's version/epoch after an iod fenced the
 // old-epoch mint (closes the sub-quorum old-epoch divergence window).
-inline constexpr const char* kPvfsVersionRemints = "pvfs.version_remints";
+inline constexpr Id kPvfsVersionRemints{"pvfs.version_remints"};
 // Partial-round restart: replays whose payload already landed in the
 // target's staging buffer skip the wire phase entirely.
-inline constexpr const char* kPvfsPartialRestarts = "pvfs.partial_restarts";
+inline constexpr Id kPvfsPartialRestarts{"pvfs.partial_restarts"};
 // Replication and failover (reported only when replication_factor > 1, so
 // classic single-copy runs keep counter sets — and baselines — identical).
-inline constexpr const char* kPvfsReplicaWrites = "pvfs.replica_writes";
-inline constexpr const char* kPvfsQuorumWaits = "pvfs.quorum_waits";
-inline constexpr const char* kPvfsFailovers = "pvfs.failovers";
+inline constexpr Id kPvfsReplicaWrites{"pvfs.replica_writes"};
+inline constexpr Id kPvfsQuorumWaits{"pvfs.quorum_waits"};
+inline constexpr Id kPvfsFailovers{"pvfs.failovers"};
 // Version plane (stripe versioning, read-repair, background resync). All
 // four only ever appear at replication_factor > 1, keeping factor-1 counter
 // sets baseline-identical; resync_* additionally require
 // ReplicationParams::resync. None of them count toward pvfs.request/reply
 // (repair and resync traffic is out-of-band of the round protocol).
-inline constexpr const char* kPvfsReadRepairs = "pvfs.read_repairs";
-inline constexpr const char* kPvfsStaleReadsAvoided =
-    "pvfs.stale_reads_avoided";
-inline constexpr const char* kPvfsResyncStripes = "pvfs.resync_stripes";
-inline constexpr const char* kPvfsResyncRounds = "pvfs.resync_rounds";
+inline constexpr Id kPvfsReadRepairs{"pvfs.read_repairs"};
+inline constexpr Id kPvfsStaleReadsAvoided{"pvfs.stale_reads_avoided"};
+inline constexpr Id kPvfsResyncStripes{"pvfs.resync_stripes"};
+inline constexpr Id kPvfsResyncRounds{"pvfs.resync_rounds"};
 // Data-integrity plane (stripe block checksums, corruption injection,
 // verify-on-read, scrubber). The fault.injected.* corruption counters move
 // only when a corruption fault actually fires; the pvfs.* ones only when a
 // checksum/version mismatch is detected, failed over, or repaired — so
 // fault-free runs (and fault runs without corruption) keep counter sets
 // byte-identical. scrub_* additionally require the scrubber to be enabled.
-inline constexpr const char* kFaultBitFlip = "fault.injected.bit_flip";
-inline constexpr const char* kFaultTornWrite = "fault.injected.torn_write";
-inline constexpr const char* kFaultLostWrite = "fault.injected.lost_write";
-inline constexpr const char* kPvfsCorruptionsDetected =
-    "pvfs.corruptions_detected";
-inline constexpr const char* kPvfsCorruptReadsFailedOver =
-    "pvfs.corrupt_reads_failed_over";
-inline constexpr const char* kPvfsCorruptionsRepaired =
-    "pvfs.corruptions_repaired";
-inline constexpr const char* kPvfsScrubChunks = "pvfs.scrub_chunks";
-inline constexpr const char* kPvfsScrubBytes = "pvfs.scrub_bytes";
-inline constexpr const char* kPvfsScrubCorruptions =
-    "pvfs.scrub_corruptions_found";
-inline constexpr const char* kPvfsScrubStaleHeaders =
-    "pvfs.scrub_stale_headers_found";
+inline constexpr Id kFaultBitFlip{"fault.injected.bit_flip"};
+inline constexpr Id kFaultTornWrite{"fault.injected.torn_write"};
+inline constexpr Id kFaultLostWrite{"fault.injected.lost_write"};
+inline constexpr Id kPvfsCorruptionsDetected{"pvfs.corruptions_detected"};
+inline constexpr Id kPvfsCorruptReadsFailedOver{
+    "pvfs.corrupt_reads_failed_over"};
+inline constexpr Id kPvfsCorruptionsRepaired{"pvfs.corruptions_repaired"};
+inline constexpr Id kPvfsScrubChunks{"pvfs.scrub_chunks"};
+inline constexpr Id kPvfsScrubBytes{"pvfs.scrub_bytes"};
+inline constexpr Id kPvfsScrubCorruptions{"pvfs.scrub_corruptions_found"};
+inline constexpr Id kPvfsScrubStaleHeaders{"pvfs.scrub_stale_headers_found"};
 // Client caching tier (src/cache/). All four move only when
 // CacheParams::enabled is set, so cache-off runs keep counter sets — and
 // every figure baseline — byte-identical. cache_hits/misses count attr and
@@ -336,21 +398,18 @@ inline constexpr const char* kPvfsScrubStaleHeaders =
 // notices, version-tag conflicts and name invalidation; lease_revokes
 // counts entries dropped by lease revocation (create/remove on the name,
 // epoch bumps on the owning shard).
-inline constexpr const char* kPvfsCacheHits = "pvfs.cache_hits";
-inline constexpr const char* kPvfsCacheMisses = "pvfs.cache_misses";
-inline constexpr const char* kPvfsCacheInvalidations =
-    "pvfs.cache_invalidations";
-inline constexpr const char* kPvfsCacheLeaseRevokes =
-    "pvfs.cache_lease_revokes";
-inline constexpr const char* kAdsSieved = "ads.sieved";
-inline constexpr const char* kAdsSeparate = "ads.separate";
-inline constexpr const char* kAdsExtraBytes = "ads.extra_bytes";
-inline constexpr const char* kOgrGroups = "ogr.groups";
-inline constexpr const char* kOgrFallbacks = "ogr.fallbacks";
-inline constexpr const char* kOgrOsQueries = "ogr.os_queries";
+inline constexpr Id kPvfsCacheHits{"pvfs.cache_hits"};
+inline constexpr Id kPvfsCacheMisses{"pvfs.cache_misses"};
+inline constexpr Id kPvfsCacheInvalidations{"pvfs.cache_invalidations"};
+inline constexpr Id kPvfsCacheLeaseRevokes{"pvfs.cache_lease_revokes"};
+inline constexpr Id kAdsSieved{"ads.sieved"};
+inline constexpr Id kAdsSeparate{"ads.separate"};
+inline constexpr Id kAdsExtraBytes{"ads.extra_bytes"};
+inline constexpr Id kOgrGroups{"ogr.groups"};
+inline constexpr Id kOgrFallbacks{"ogr.fallbacks"};
+inline constexpr Id kOgrOsQueries{"ogr.os_queries"};
 // Registration cost (ns) the client charged its operations up front.
-inline constexpr const char* kOgrPreregNs = "ogr.prereg_ns";
-inline constexpr const char* kHoleQueries = "vmem.hole_query";
+inline constexpr Id kOgrPreregNs{"ogr.prereg_ns"};
 }  // namespace stat
 
 }  // namespace pvfsib

@@ -84,33 +84,24 @@ TEST(FaultTest, TrivialConfigReportsNoFaultOrRecoveryCounters) {
   ASSERT_FALSE(ModelConfig::paper_defaults().fault.enabled());
   Cluster cluster(ModelConfig::paper_defaults(), 2, 2);
   round_trip(cluster);
-  for (const auto& [name, value] : cluster.stats().counters()) {
+  const Stats& stats = cluster.stats();
+  for (const auto& [name, value] : stats.counters()) {
     EXPECT_EQ(name.find("fault."), std::string::npos) << name << "=" << value;
-    EXPECT_NE(name, stat::kPvfsRetries);
-    EXPECT_NE(name, stat::kPvfsTimeouts);
-    EXPECT_NE(name, stat::kPvfsReplaysDeduped);
-    EXPECT_NE(name, stat::kPvfsMetaRetries);
-    EXPECT_NE(name, stat::kPvfsPartialRestarts);
-    EXPECT_NE(name, stat::kPvfsReplicaWrites);
-    EXPECT_NE(name, stat::kPvfsQuorumWaits);
-    EXPECT_NE(name, stat::kPvfsFailovers);
-    EXPECT_NE(name, stat::kPvfsReadRepairs);
-    EXPECT_NE(name, stat::kPvfsStaleReadsAvoided);
-    EXPECT_NE(name, stat::kPvfsResyncStripes);
-    EXPECT_NE(name, stat::kPvfsResyncRounds);
-    EXPECT_NE(name, stat::kPvfsMetaFailovers);
-    EXPECT_NE(name, stat::kPvfsEpochRejections);
-    EXPECT_NE(name, stat::kPvfsManagerTakeovers);
-    EXPECT_NE(name, stat::kPvfsShardRedirects);
-    EXPECT_NE(name, stat::kPvfsShardMapRefreshes);
-    EXPECT_NE(name, stat::kPvfsVersionRemints);
-    EXPECT_NE(name, stat::kPvfsCorruptionsDetected);
-    EXPECT_NE(name, stat::kPvfsCorruptReadsFailedOver);
-    EXPECT_NE(name, stat::kPvfsCorruptionsRepaired);
-    EXPECT_NE(name, stat::kPvfsScrubChunks);
-    EXPECT_NE(name, stat::kPvfsScrubBytes);
-    EXPECT_NE(name, stat::kPvfsScrubCorruptions);
-    EXPECT_NE(name, stat::kPvfsScrubStaleHeaders);
+  }
+  for (const stat::Id id :
+       {stat::kPvfsRetries, stat::kPvfsTimeouts, stat::kPvfsReplaysDeduped,
+        stat::kPvfsMetaRetries, stat::kPvfsPartialRestarts,
+        stat::kPvfsReplicaWrites, stat::kPvfsQuorumWaits, stat::kPvfsFailovers,
+        stat::kPvfsReadRepairs, stat::kPvfsStaleReadsAvoided,
+        stat::kPvfsResyncStripes, stat::kPvfsResyncRounds,
+        stat::kPvfsMetaFailovers, stat::kPvfsEpochRejections,
+        stat::kPvfsManagerTakeovers, stat::kPvfsShardRedirects,
+        stat::kPvfsShardMapRefreshes, stat::kPvfsVersionRemints,
+        stat::kPvfsCorruptionsDetected, stat::kPvfsCorruptReadsFailedOver,
+        stat::kPvfsCorruptionsRepaired, stat::kPvfsScrubChunks,
+        stat::kPvfsScrubBytes, stat::kPvfsScrubCorruptions,
+        stat::kPvfsScrubStaleHeaders}) {
+    EXPECT_FALSE(stats.touched(id)) << id;
   }
 }
 

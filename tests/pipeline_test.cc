@@ -85,8 +85,7 @@ TEST(PipelineTest, DepthOneReportsNoPipelineCounters) {
   ASSERT_TRUE(c.read_list(f, req).ok());
   EXPECT_EQ(cluster.stats().get(stat::kPvfsRoundsInflightMax), 0);
   EXPECT_EQ(cluster.stats().get(stat::kPvfsPipelineStalls), 0);
-  EXPECT_EQ(cluster.stats().counters().count(stat::kPvfsRoundsInflightMax),
-            0u);
+  EXPECT_FALSE(cluster.stats().touched(stat::kPvfsRoundsInflightMax));
 }
 
 TEST(PipelineTest, DeterministicAtEveryDepth) {
