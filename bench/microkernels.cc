@@ -2,12 +2,14 @@
 // extent coalescing, list I/O partitioning, OGR group planning, datatype
 // flattening, and ADS window planning. These run on the real CPU (no
 // simulated time) — they are the costs a production client library would
-// pay per operation. BM_ByteMover measures the simulator's own copy path.
+// pay per operation. BM_ByteMover measures the simulator's own copy path,
+// BM_StatsBump and BM_StatsSnapshotDiff its counter registry.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 
 #include "common/byte_mover.h"
+#include "common/stats.h"
 #include "core/ads.h"
 #include "core/listio.h"
 #include "core/ogr.h"
@@ -158,6 +160,59 @@ BENCHMARK(BM_ByteMover)
     ->ArgsProduct({{0}, {4 * 1024 * 1024}, {0, 1, 3}, {0, 20, 100}})
     ->Iterations(2000)
     ->UseManualTime();
+
+// The counters a tile-read run touches (the registry's size when a hot
+// path bumps it), each set to a distinct value.
+Stats tile_read_counters(i64 base) {
+  Stats s;
+  i64 v = base;
+  for (const auto id :
+       {stat::kAdsSeparate, stat::kCacheHitBytes, stat::kCacheMissBytes,
+        stat::kDiskRead, stat::kDiskWrite, stat::kDiskWriteBytes,
+        stat::kFsLseek, stat::kMrCacheHit, stat::kMrCacheMiss,
+        stat::kMrRegister, stat::kMrRegisteredBytes, stat::kRdmaRead,
+        stat::kRdmaWrite, stat::kSend, stat::kNetBytesControl,
+        stat::kNetBytesData, stat::kOgrGroups, stat::kOgrPreregNs,
+        stat::kPvfsReply, stat::kPvfsRequest}) {
+    s.add(id, v++);
+  }
+  return s;
+}
+
+// The four bumps LocalFile::charge_read makes per file access, the hot
+// path of a tile read (thousands of accesses per operation).
+void BM_StatsBump(benchmark::State& state) {
+  Stats stats = tile_read_counters(0);
+  i64 hit_bytes = 4096;
+  benchmark::DoNotOptimize(hit_bytes);
+  for (auto _ : state) {
+    stats.add(stat::kFsLseek);
+    stats.add(stat::kDiskRead);
+    stats.add(stat::kCacheHitBytes, hit_bytes);
+    stats.add(stat::kCacheMissBytes, 0);
+    benchmark::DoNotOptimize(stats);
+  }
+  benchmark::DoNotOptimize(stats.get(stat::kDiskRead));
+}
+BENCHMARK(BM_StatsBump);
+
+// IntervalSeries::close_window's work: diff the live registry against the
+// last snapshot, then copy it into the snapshot. The live registry
+// alternates between two states, so every counter moves in every window.
+void BM_StatsSnapshotDiff(benchmark::State& state) {
+  const Stats even = tile_read_counters(state.range(0));
+  const Stats odd = tile_read_counters(state.range(0) + 100);
+  Stats last = odd;
+  u64 window = 0;
+  for (auto _ : state) {
+    const Stats& live = window++ % 2 == 0 ? even : odd;
+    Stats delta = live.diff(last);
+    benchmark::DoNotOptimize(delta);
+    last = live;
+    benchmark::DoNotOptimize(last);
+  }
+}
+BENCHMARK(BM_StatsSnapshotDiff)->Arg(1);
 
 }  // namespace
 }  // namespace pvfsib
