@@ -43,11 +43,9 @@ RunOutcome run_case(u64 seg_bytes, core::XferScheme scheme, bool is_write) {
     }
   }
 
-  // The case's scheme applies cluster-wide (set after the preload, which
-  // should run with the stock hybrid policy); call sites pass empty opts.
-  core::TransferPolicy policy;
-  policy.scheme = scheme;
-  cluster.set_default_policy(policy);
+  // The case's scheme applies to the measured calls only; the preload runs
+  // with the stock hybrid policy.
+  const pvfs::IoOptions opts = pvfs::IoOptions{}.with_scheme(scheme);
   std::vector<pvfs::IoResult> results(4);
   int pending = 4;
   for (u32 r = 0; r < 4; ++r) {
@@ -58,7 +56,7 @@ RunOutcome run_case(u64 seg_bytes, core::XferScheme scheme, bool is_write) {
     const TimePoint at = cluster.engine().now();
     const pvfs::IoDir dir = is_write ? pvfs::IoDir::kWrite : pvfs::IoDir::kRead;
     cluster.client(r)
-        .submit({dir, files[r], reqs[r], {}, at})
+        .submit({dir, files[r], reqs[r], opts, at})
         .on_complete(done);
   }
   cluster.engine().run_until([&] { return pending == 0; });

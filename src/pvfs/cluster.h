@@ -89,13 +89,6 @@ class Cluster {
     for (auto& c : clients_) c->data_cache().drop_all();
   }
 
-  // Cluster-wide default transfer policy. Applied by every client to
-  // operations whose IoOptions did not pick a policy explicitly (via
-  // with_policy()/with_scheme()); pass nullopt to clear.
-  void set_default_policy(std::optional<core::TransferPolicy> p) {
-    for (auto& c : clients_) c->set_default_policy(p);
-  }
-
   // Run the engine until every scheduled event has fired; returns the
   // latest event time (the makespan of whatever was launched).
   TimePoint run() { return engine_.run(); }

@@ -246,39 +246,6 @@ TEST(PipelineTest, HandlePropagatesValidationErrors) {
   EXPECT_EQ(r.bytes, 0u);
 }
 
-TEST(PipelineTest, ClusterDefaultPolicyAppliesUnlessExplicit) {
-  // The same workload under (a) an explicit gather/scatter policy and
-  // (b) empty options + a cluster-wide gather/scatter default must be
-  // indistinguishable; an explicit policy must win over the default.
-  auto run = [](bool use_default, core::XferScheme explicit_scheme,
-                bool set_explicit) {
-    Cluster cluster(ModelConfig::paper_defaults(), 1, 2);
-    if (use_default) {
-      core::TransferPolicy p;
-      p.scheme = core::XferScheme::kRdmaGatherScatter;
-      cluster.set_default_policy(p);
-    }
-    Client& c = cluster.client(0);
-    OpenFile f = c.create("/pol").value();
-    core::ListIoRequest req = strided_request(c, 256, 2048);
-    IoOptions opts;
-    if (set_explicit) opts.with_scheme(explicit_scheme);
-    IoResult w = c.write_list(f, req, opts);
-    EXPECT_TRUE(w.ok());
-    return std::to_string(w.end.as_ns()) + ";" + cluster.stats().to_string();
-  };
-  const std::string explicit_gather =
-      run(false, core::XferScheme::kRdmaGatherScatter, true);
-  const std::string default_gather =
-      run(true, core::XferScheme::kMultipleMessage, false);
-  EXPECT_EQ(explicit_gather, default_gather);
-  // Explicit multiple-message beats the gather default — different scheme,
-  // different timing/counters.
-  const std::string explicit_over_default =
-      run(true, core::XferScheme::kMultipleMessage, true);
-  EXPECT_NE(explicit_over_default, default_gather);
-}
-
 TEST(PipelineTest, PhasesBreakdownAccountsRounds) {
   Cluster cluster(depth_config(4, /*max_pairs=*/4), 1, 1);
   Client& c = cluster.client(0);
