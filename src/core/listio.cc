@@ -37,32 +37,8 @@ std::vector<ServerSubRequest> partition(const ListIoRequest& req,
 
   // Walk the file stream, splitting pieces at stripe boundaries, while
   // consuming the memory stream in lockstep.
-  size_t mi = 0;       // current memory segment
-  u64 mconsumed = 0;   // bytes consumed of mem[mi]
+  MemCursor mem(req.mem);
   const u64 ss = map.stripe_size();
-
-  auto take_mem = [&](ServerSubRequest& dst, u64 want) {
-    while (want > 0) {
-      assert(mi < req.mem.size());
-      const MemSegment& m = req.mem[mi];
-      const u64 avail = m.length - mconsumed;
-      const u64 n = std::min(avail, want);
-      const u64 addr = m.addr + mconsumed;
-      // Extend the previous slice when contiguous in memory too.
-      if (!dst.mem.empty() &&
-          dst.mem.back().addr + dst.mem.back().length == addr) {
-        dst.mem.back().length += n;
-      } else {
-        dst.mem.push_back({addr, n});
-      }
-      mconsumed += n;
-      want -= n;
-      if (mconsumed == m.length) {
-        ++mi;
-        mconsumed = 0;
-      }
-    }
-  };
 
   for (const Extent& fe : req.file) {
     u64 pos = fe.offset;
@@ -78,7 +54,7 @@ std::vector<ServerSubRequest> partition(const ListIoRequest& req,
       } else {
         dst.file.push_back({local, n});
       }
-      take_mem(dst, n);
+      mem.take(n, dst.mem);
       pos += n;
       left -= n;
     }

@@ -10,6 +10,8 @@
 // merging local file extents that land adjacent (the only merge PVFS does).
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <span>
 #include <vector>
 
@@ -30,6 +32,39 @@ struct MemSegment {
 using MemSegmentList = std::vector<MemSegment>;
 
 u64 total_bytes(const MemSegmentList& segs);
+
+// Walks a memory segment list in stream order. take() appends the next
+// `want` bytes to `dst` as slices, extending dst's last slice when the two
+// are contiguous in memory.
+class MemCursor {
+ public:
+  explicit MemCursor(const MemSegmentList& mem)
+      : seg_(mem.data()), end_(mem.data() + mem.size()) {}
+
+  void take(u64 want, MemSegmentList& dst) {
+    while (want > 0) {
+      assert(seg_ != end_);
+      const u64 n = std::min(seg_->length - used_, want);
+      const u64 addr = seg_->addr + used_;
+      if (!dst.empty() && dst.back().addr + dst.back().length == addr) {
+        dst.back().length += n;
+      } else {
+        dst.push_back({addr, n});
+      }
+      used_ += n;
+      want -= n;
+      if (used_ == seg_->length) {
+        ++seg_;
+        used_ = 0;
+      }
+    }
+  }
+
+ private:
+  const MemSegment* seg_;  // current segment
+  const MemSegment* end_;
+  u64 used_ = 0;  // bytes of *seg_ already taken
+};
 
 struct ListIoRequest {
   MemSegmentList mem;  // destinations (read) or sources (write)
