@@ -272,61 +272,108 @@ TEST_F(PvfsTest, AdsOffServicesSeparately) {
 }
 
 // List I/O whose pieces overlap ends as if the pieces moved one by one in
-// request order: the later piece's bytes win. The pieces are 64 KiB, so
-// each round's copy batch is large enough that the byte mover's overlap
-// check decides how it is copied, not its size threshold.
+// request order: the later piece's bytes win. Each case runs with pieces of
+// 64 KiB and of 8 KiB. A 64 KiB piece makes each round's copy batch large
+// enough that the byte mover's overlap check decides how it is copied, not
+// its size threshold; the rounds take the rendezvous push and the
+// client-pull return. Two 8 KiB pieces make a round of at most 64 KiB,
+// which takes the fast-RDMA paths: the eager pack and the fast-bounce
+// return.
 static_assert(2 * 64 * kKiB >= ByteMover::kParallelMinBytes);
+constexpr u64 kOverlapPieces[] = {64 * kKiB, 8 * kKiB};
 
 TEST_F(PvfsTest, ListReadIntoOverlappingMemoryKeepsTheLaterPiece) {
-  for (const bool ads : {false, true}) {
-    SCOPED_TRACE(ads ? "ADS" : "no ADS");
-    Client& c = cluster_.client(0);
-    OpenFile f = c.create(ads ? "/overlap-read-ads" : "/overlap-read").value();
-    const u64 n = 64 * kKiB;
-    const u64 src = c.memory().alloc(5 * n);
-    fill(c, src, 5 * n, 21);
-    ASSERT_TRUE(c.write(f, 0, src, 5 * n).ok());
-    // File offsets 0 and 256 KiB are stripes 0 and 4, both on the base
-    // iod; the second memory segment starts halfway into the first.
-    const u64 dst = c.memory().alloc(2 * n);
-    core::ListIoRequest req;
-    req.mem = {{dst, n}, {dst + n / 2, n}};
-    req.file = {{0, n}, {4 * n, n}};
-    IoOptions opts;
-    opts.use_ads = ads;
-    IoResult r = c.read_list(f, req, opts);
-    ASSERT_TRUE(r.ok()) << r.status.to_string();
-    EXPECT_TRUE(equal_mem(c, dst, src, n / 2));
-    EXPECT_TRUE(equal_mem(c, dst + n / 2, src + 4 * n, n));
+  for (const u64 n : kOverlapPieces) {
+    for (const bool ads : {false, true}) {
+      SCOPED_TRACE(std::to_string(n) + (ads ? " B, ADS" : " B, no ADS"));
+      Client& c = cluster_.client(0);
+      OpenFile f = c.create("/overlap-read-" + std::to_string(n) +
+                            (ads ? "-ads" : ""))
+                       .value();
+      const u64 src = c.memory().alloc(5 * n);
+      fill(c, src, 5 * n, 21);
+      ASSERT_TRUE(c.write(f, 0, src, 5 * n).ok());
+      // Both file pieces are on the base iod (stripes 0 and 4 at 64 KiB,
+      // stripe 0 at 8 KiB), so they share one round; the second memory
+      // segment starts halfway into the first.
+      const u64 dst = c.memory().alloc(2 * n);
+      core::ListIoRequest req;
+      req.mem = {{dst, n}, {dst + n / 2, n}};
+      req.file = {{0, n}, {4 * n, n}};
+      IoOptions opts;
+      opts.use_ads = ads;
+      IoResult r = c.read_list(f, req, opts);
+      ASSERT_TRUE(r.ok()) << r.status.to_string();
+      EXPECT_TRUE(equal_mem(c, dst, src, n / 2));
+      EXPECT_TRUE(equal_mem(c, dst + n / 2, src + 4 * n, n));
+    }
   }
 }
 
 TEST_F(PvfsTest, ListWriteOfOneExtentTwiceLeavesTheSecondPiece) {
+  for (const u64 n : kOverlapPieces) {
+    for (const bool ads : {false, true}) {
+      SCOPED_TRACE(std::to_string(n) + (ads ? " B, ADS" : " B, no ADS"));
+      Client& c = cluster_.client(0);
+      OpenFile f = c.create("/overlap-write-" + std::to_string(n) +
+                            (ads ? "-ads" : ""))
+                       .value();
+      const u64 src = c.memory().alloc(2 * n);
+      fill(c, src, 2 * n, 31);
+      core::ListIoRequest req;
+      req.mem = {{src, n}, {src + n, n}};
+      req.file = {{0, n}, {0, n}};
+      IoOptions opts;
+      opts.use_ads = ads;
+      const i64 sieved_before = cluster_.stats().get(stat::kAdsSieved);
+      IoResult w = c.write_list(f, req, opts);
+      ASSERT_TRUE(w.ok()) << w.status.to_string();
+      EXPECT_EQ(cluster_.stats().get(stat::kAdsSieved) > sieved_before, ads);
+      const disk::LocalFile& lf =
+          cluster_.iod(f.meta.base_iod).file(f.meta.handle);
+      ASSERT_EQ(lf.size(), n);
+      EXPECT_EQ(
+          std::memcmp(lf.contents().data(), c.memory().data(src + n), n), 0);
+      const u64 back = c.memory().alloc(n);
+      ASSERT_TRUE(c.read(f, 0, back, n).ok());
+      EXPECT_TRUE(equal_mem(c, back, src + n, n));
+    }
+  }
+}
+
+// A list read of at most 64 KiB takes the fast-bounce return. Across EOF,
+// every byte past the end reads as zero, in whichever memory segment it
+// lands, with the stream split across the segments at a piece boundary
+// and inside a piece.
+TEST_F(PvfsTest, SmallListReadAcrossEofZeroFillsEverySegment) {
   for (const bool ads : {false, true}) {
     SCOPED_TRACE(ads ? "ADS" : "no ADS");
     Client& c = cluster_.client(0);
-    OpenFile f =
-        c.create(ads ? "/overlap-write-ads" : "/overlap-write").value();
-    const u64 n = 64 * kKiB;
-    const u64 src = c.memory().alloc(2 * n);
-    fill(c, src, 2 * n, 31);
+    OpenFile f = c.create(ads ? "/eof-ads" : "/eof").value();
+    const u64 size = 10 * kKiB;
+    const u64 src = c.memory().alloc(size);
+    fill(c, src, size, 41);
+    ASSERT_TRUE(c.write(f, 0, src, size).ok());
+    // The stream: file [0, 6 KiB), file [8 KiB, 10 KiB), then 6 KiB past
+    // EOF.
+    const u64 dst = c.memory().alloc(16 * kKiB);
+    std::memset(c.memory().data(dst), 0xab, 16 * kKiB);
     core::ListIoRequest req;
-    req.mem = {{src, n}, {src + n, n}};
-    req.file = {{0, n}, {0, n}};
+    req.mem = {{dst, 5 * kKiB}, {dst + 6 * kKiB, 9 * kKiB}};
+    req.file = {{0, 6 * kKiB}, {8 * kKiB, 8 * kKiB}};
     IoOptions opts;
     opts.use_ads = ads;
-    const i64 sieved_before = cluster_.stats().get(stat::kAdsSieved);
-    IoResult w = c.write_list(f, req, opts);
-    ASSERT_TRUE(w.ok()) << w.status.to_string();
-    EXPECT_EQ(cluster_.stats().get(stat::kAdsSieved) > sieved_before, ads);
-    const disk::LocalFile& lf =
-        cluster_.iod(f.meta.base_iod).file(f.meta.handle);
-    ASSERT_EQ(lf.size(), n);
-    EXPECT_EQ(std::memcmp(lf.contents().data(), c.memory().data(src + n), n),
-              0);
-    const u64 back = c.memory().alloc(n);
-    ASSERT_TRUE(c.read(f, 0, back, n).ok());
-    EXPECT_TRUE(equal_mem(c, back, src + n, n));
+    IoResult r = c.read_list(f, req, opts);
+    ASSERT_TRUE(r.ok()) << r.status.to_string();
+    EXPECT_TRUE(equal_mem(c, dst, src, 5 * kKiB));
+    EXPECT_EQ(c.memory().read_pod<u8>(dst + 5 * kKiB), 0xab);  // the gap
+    const u64 seg = dst + 6 * kKiB;
+    EXPECT_TRUE(equal_mem(c, seg, src + 5 * kKiB, 1 * kKiB));
+    EXPECT_TRUE(equal_mem(c, seg + 1 * kKiB, src + 8 * kKiB, 2 * kKiB));
+    for (u64 i = 3 * kKiB; i < 9 * kKiB; ++i) {
+      ASSERT_EQ(c.memory().read_pod<u8>(seg + i), 0) << i;
+    }
+    EXPECT_EQ(c.memory().read_pod<u8>(dst + 15 * kKiB), 0xab);  // the tail
   }
 }
 
