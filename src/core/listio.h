@@ -38,7 +38,7 @@ u64 total_bytes(const MemSegmentList& segs);
 // are contiguous in memory.
 class MemCursor {
  public:
-  explicit MemCursor(const MemSegmentList& mem)
+  explicit MemCursor(std::span<const MemSegment> mem)
       : seg_(mem.data()), end_(mem.data() + mem.size()) {}
 
   void take(u64 want, MemSegmentList& dst) {

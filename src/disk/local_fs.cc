@@ -90,32 +90,17 @@ Duration LocalFile::charge_write(u64 off, u64 len, IoOpts opts) {
   return cost;
 }
 
-Timed<u64> LocalFile::pread(u64 off, std::span<std::byte> dst, IoOpts opts) {
-  const Timed<u64> rd = charge_read(off, dst.size(), opts);
-  if (rd.value > 0) std::memcpy(dst.data(), content_.data() + off, rd.value);
-  return rd;
+Timed<std::span<const std::byte>> LocalFile::read_view(u64 off, u64 len,
+                                                       IoOpts opts) {
+  const Timed<u64> rd = charge_read(off, len, opts);
+  if (rd.value == 0) return {{}, rd.cost};
+  return {{content_.data() + off, rd.value}, rd.cost};
 }
 
-Timed<u64> LocalFile::preadv(std::span<const Extent> accesses,
-                             std::span<std::byte> dst, IoOpts opts) {
-  Timed<u64> out{0, Duration::zero()};
-  std::vector<CopyOp>& batch = fs_->batch_;
-  batch.clear();
-  u64 at = 0;
-  for (const Extent& a : accesses) {
-    // charge_read never grows the file, so its bytes stay put.
-    const Timed<u64> rd = charge_read(a.offset, a.length, opts);
-    out.value += rd.value;
-    out.cost += rd.cost;
-    const std::span<std::byte> piece = dst.subspan(at, a.length);
-    if (rd.value > 0) {
-      batch.push_back({piece.data(), content_.data() + a.offset, rd.value});
-    }
-    std::fill(piece.begin() + rd.value, piece.end(), std::byte{0});
-    at += a.length;
-  }
-  ByteMover::shared().copy(batch);
-  return out;
+Timed<u64> LocalFile::pread(u64 off, std::span<std::byte> dst, IoOpts opts) {
+  const Timed<std::span<const std::byte>> v = read_view(off, dst.size(), opts);
+  if (!v.value.empty()) std::memcpy(dst.data(), v.value.data(), v.value.size());
+  return {v.value.size(), v.cost};
 }
 
 Timed<u64> LocalFile::pwrite(u64 off, std::span<const std::byte> src,

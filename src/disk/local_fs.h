@@ -39,12 +39,12 @@ class LocalFile {
   // Read up to dst.size() bytes at `off`; short count at EOF.
   Timed<u64> pread(u64 off, std::span<std::byte> dst, IoOpts opts = {});
 
-  // Read each access into the next accesses[i].length bytes of `dst`
-  // (sized to their sum), charging each exactly as one pread(access) does,
-  // then move every byte in one ByteMover batch. A short read's tail (past
-  // EOF) reads as zeros. Returns the bytes read from the file.
-  Timed<u64> preadv(std::span<const Extent> accesses, std::span<std::byte> dst,
-                    IoOpts opts = {});
+  // Charge exactly what pread(off, len bytes) charges, and return the
+  // file's own bytes at [off, off + len), short at EOF, instead of copying
+  // them out. The view is valid until the file next changes (a write, a
+  // corruption or a purge may move or drop its bytes).
+  Timed<std::span<const std::byte>> read_view(u64 off, u64 len,
+                                              IoOpts opts = {});
 
   // Write src at `off`, growing (and zero-filling) the file as needed.
   Timed<u64> pwrite(u64 off, std::span<const std::byte> src, IoOpts opts = {});
@@ -194,7 +194,7 @@ class LocalFs {
   // positions never move); the live ones by path.
   std::vector<std::unique_ptr<LocalFile>> files_;
   std::unordered_map<std::string, u32> by_path_;
-  // preadv's and read_modify_write's copy batch, reused across calls.
+  // read_modify_write's copy batch, reused across calls.
   std::vector<CopyOp> batch_;
 
   // Files are laid out 4 GiB apart on the simulated platter so inter-file

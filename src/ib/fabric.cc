@@ -52,7 +52,7 @@ Duration Fabric::fixed_overheads(Op op, std::span<const Sge> sges,
 TransferResult Fabric::rdma_common(Op op, Hca& local,
                                    std::span<const Sge> sges, Hca& remote,
                                    u64 raddr, u32 rkey, TimePoint ready,
-                                   u32 sges_per_wr) {
+                                   u32 sges_per_wr, bool move) {
   TransferResult out;
   out.status = local.validate_sges(sges);
   if (!out.status.is_ok()) return out;
@@ -72,9 +72,30 @@ TransferResult Fabric::rdma_common(Op op, Hca& local,
     return out;
   }
 
-  // Move the payload now, as one batch; timing is virtual but the bytes
-  // are real. Growing a destination may move its address space, so every
-  // destination grows before any pointer is taken.
+  if (move) move_payload(op, local, sges, remote, raddr);
+
+  const double bw =
+      op == Op::kWrite ? params_.rdma_write_bw : params_.rdma_read_bw;
+  const Duration wire =
+      transfer_time(total, bw) + faults_.perturb_transfer(ready, total, bw);
+  const TimePoint start = max(local.nic().earliest_start(ready),
+                              remote.nic().earliest_start(ready));
+  local.nic().acquire(start, wire);
+  remote.nic().acquire(start, wire);
+
+  out.status = Status::ok();
+  out.bytes = total;
+  out.complete = start + wire + fixed_overheads(op, sges, sges_per_wr);
+  stats_.add(op == Op::kWrite ? stat::kRdmaWrite : stat::kRdmaRead);
+  stats_.add(stat::kNetBytesData, static_cast<i64>(total));
+  return out;
+}
+
+void Fabric::move_payload(Op op, Hca& local, std::span<const Sge> sges,
+                          Hca& remote, u64 raddr) {
+  // One batch; timing is virtual but the bytes are real. Growing a
+  // destination may move its address space, so every destination grows
+  // before any pointer is taken.
   const bool is_write = op == Op::kWrite;
   vmem::AddressSpace& dst_as =
       is_write ? remote.address_space() : local.address_space();
@@ -95,22 +116,6 @@ TransferResult Fabric::rdma_common(Op op, Hca& local,
     rpos += s.length;
   }
   ByteMover::shared().copy(batch_);
-
-  const double bw =
-      op == Op::kWrite ? params_.rdma_write_bw : params_.rdma_read_bw;
-  const Duration wire =
-      transfer_time(total, bw) + faults_.perturb_transfer(ready, total, bw);
-  const TimePoint start = max(local.nic().earliest_start(ready),
-                              remote.nic().earliest_start(ready));
-  local.nic().acquire(start, wire);
-  remote.nic().acquire(start, wire);
-
-  out.status = Status::ok();
-  out.bytes = total;
-  out.complete = start + wire + fixed_overheads(op, sges, sges_per_wr);
-  stats_.add(op == Op::kWrite ? stat::kRdmaWrite : stat::kRdmaRead);
-  stats_.add(stat::kNetBytesData, static_cast<i64>(total));
-  return out;
 }
 
 TransferResult Fabric::rdma_write_gather(Hca& local, std::span<const Sge> sges,

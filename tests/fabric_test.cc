@@ -181,6 +181,107 @@ TEST_F(FabricTest, InjectedCompletionErrorMovesNothing) {
   EXPECT_EQ(stats_.get(stat::kNetBytesData), 0);
 }
 
+// A fabric with its own endpoints, counters and injector, so that one
+// sequence of transfers can run on two of them side by side.
+struct TwinFabric {
+  explicit TwinFabric(const FaultConfig& fc)
+      : faults(fc, stats),
+        client("client", client_as, reg, stats),
+        server("server", server_as, reg, stats),
+        fabric(net, stats, faults) {
+    local = client_as.alloc(2 * kPageSize);
+    local_key = client.register_memory(local, 2 * kPageSize).key;
+    remote = server_as.alloc(kPageSize);
+    remote_key = server.register_memory(remote, kPageSize).key;
+  }
+
+  vmem::AddressSpace client_as, server_as;
+  Stats stats;
+  RegParams reg;
+  NetParams net;
+  fault::Injector faults;
+  Hca client, server;
+  Fabric fabric;
+  u64 local = 0;
+  u32 local_key = 0;
+  u64 remote = 0;
+  u32 remote_key = 0;
+};
+
+// Booking a gather write or a scatter read does everything that moving it
+// does but move the payload: the same status, completion time, NIC
+// occupancy and counters, over a sequence whose fault draws must line up
+// (retransmits and latency spikes at 50%, or every work request in
+// error). The booked transfers leave every destination untouched.
+TEST_F(FabricTest, BookingMatchesMovingButMovesNothing) {
+  FaultConfig perturbed;
+  perturbed.retransmit_rate = 0.5;
+  perturbed.latency_spike_rate = 0.5;
+  FaultConfig errored;
+  errored.completion_error_rate = 1.0;
+  for (const FaultConfig& fc : {perturbed, errored}) {
+    SCOPED_TRACE(fc.completion_error_rate > 0 ? "errored" : "perturbed");
+    TwinFabric moving(fc);
+    TwinFabric booking(fc);
+    for (TwinFabric* t : {&moving, &booking}) {
+      for (u64 i = 0; i < 2 * kPageSize; ++i) {
+        t->client_as.write_pod<u8>(t->local + i, static_cast<u8>(i % 251 + 1));
+      }
+    }
+    for (int step = 0; step < 8; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const bool write = step % 2 == 0;
+      const TimePoint ready = TimePoint::origin() + Duration::us(step * 3.0);
+      TransferResult got[2];
+      for (TwinFabric* t : {&moving, &booking}) {
+        // One SGE, then three with a misaligned one.
+        std::vector<Sge> sges{{t->local, 64, t->local_key}};
+        if (step % 4 >= 2) {
+          sges = {{t->local + 1, 100, t->local_key},
+                  {t->local + kPageSize, 256, t->local_key},
+                  {t->local + 3 * kPageSize / 2, 8, t->local_key}};
+        }
+        Fabric& f = t->fabric;
+        const bool book = t == &booking;
+        got[book] =
+            write ? (book ? f.book_write_gather(t->client, sges, t->server,
+                                                t->remote, t->remote_key, ready)
+                          : f.rdma_write_gather(t->client, sges, t->server,
+                                                t->remote, t->remote_key, ready))
+                  : (book ? f.book_read_scatter(t->client, sges, t->server,
+                                                t->remote, t->remote_key, ready)
+                          : f.rdma_read_scatter(t->client, sges, t->server,
+                                                t->remote, t->remote_key,
+                                                ready));
+      }
+      EXPECT_EQ(got[0].status.code(), got[1].status.code());
+      EXPECT_EQ(got[0].complete, got[1].complete);
+      EXPECT_EQ(got[0].bytes, got[1].bytes);
+      EXPECT_EQ(moving.client.nic().busy_total(),
+                booking.client.nic().busy_total());
+      EXPECT_EQ(moving.server.nic().busy_total(),
+                booking.server.nic().busy_total());
+      EXPECT_EQ(moving.stats.counters(), booking.stats.counters());
+      EXPECT_EQ(got[0].ok(), fc.completion_error_rate == 0);
+    }
+    // Nothing ever reached the booking twin's buffers; the moving twin's
+    // server buffer got the writes' bytes unless every work request
+    // errored.
+    expect_zero(booking.server_as, booking.remote, kPageSize);
+    for (u64 i = 0; i < 2 * kPageSize; ++i) {
+      ASSERT_EQ(booking.client_as.read_pod<u8>(booking.local + i),
+                i % 251 + 1)
+          << "byte " << i;
+    }
+    EXPECT_EQ(moving.server_as.read_pod<u8>(moving.remote) != 0,
+              fc.completion_error_rate == 0);
+    EXPECT_GT(moving.stats.get(fc.completion_error_rate > 0
+                                   ? stat::kFaultCompletionError
+                                   : stat::kFaultRetransmit),
+              0);
+  }
+}
+
 TEST_F(FabricTest, PerBufferWrCostsMoreThanGather) {
   const u64 rows = 256;
   const u64 row = 4 * kKiB;
