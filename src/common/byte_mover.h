@@ -2,11 +2,12 @@
 // threads.
 //
 // The simulator moves the real bytes of every piece a round transfers: the
-// RDMA payload between two address spaces, the iod's per-access reads into
-// its staging buffer and its sieved write-back patches. The layer that runs
-// a round already holds the round's whole piece list, so it hands the list
-// over as one batch, and a large batch is copied by the calling thread and
-// up to kMaxWorkers process-wide workers together.
+// RDMA payload between two address spaces, a read round's file views into
+// the staging slot or the user's buffers, a pack/unpack window and the
+// sieved write-back patches. The layer that runs a round already holds the
+// round's whole piece list, so it hands the list over as one batch, and a
+// large batch is copied by the calling thread and up to kMaxWorkers
+// process-wide workers together.
 //
 // A batch is parallel when it holds at least kParallelMinBytes and no
 // destination overlaps another destination or any source. It is cut into
