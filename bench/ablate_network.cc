@@ -26,7 +26,6 @@ struct Rig {
         fabric(cfg.net, stats, faults),
         xfer(fabric, cfg.mem) {
     ep.hca = &client;
-    ep.cache = &cache;
     ep.registrar = &registrar;
     ep.bounce_size = bounce;
     ep.bounce_addr = client_as.alloc(bounce);

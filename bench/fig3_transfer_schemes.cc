@@ -30,7 +30,6 @@ struct Rig {
         fabric(cfg.net, stats, faults),
         xfer(fabric, cfg.mem) {
     ep.hca = &client;
-    ep.cache = &cache;
     ep.registrar = &registrar;
     ep.bounce_size = bounce_bytes;
     ep.bounce_addr = client_as.alloc(bounce_bytes);

@@ -343,6 +343,7 @@ void ClientCache::overlay_dirty(
   auto dit = data_.find(h);
   if (dit == data_.end()) return;
   const FileEntries& fm = dit->second;
+  u64 stream = 0;  // stream position of ex.offset
   for (const Extent& ex : file) {
     auto it = fm.lower_bound(ex.offset);
     if (it != fm.begin()) --it;
@@ -351,9 +352,11 @@ void ClientCache::overlay_dirty(
       if (!e.dirty || e.end() <= ex.offset) continue;
       const u64 lo = std::max(e.start, ex.offset);
       const u64 hi = std::min(e.end(), ex.end());
-      apply(lo, std::span<const std::byte>(e.bytes).subspan(lo - e.start,
-                                                            hi - lo));
+      apply(stream + (lo - ex.offset),
+            std::span<const std::byte>(e.bytes).subspan(lo - e.start,
+                                                         hi - lo));
     }
+    stream += ex.length;
   }
 }
 

@@ -112,10 +112,12 @@ class ClientCache {
   void flush_applied(pvfs::Handle h, const std::vector<DirtyRun>& runs,
                      const TagOf& tags);
   // Overlay dirty bytes over a freshly wire-read range (read-your-writes
-  // while a flush is pending or not yet due).
+  // while a flush is pending or not yet due): `apply` gets each dirty piece
+  // of `file` with its position in the request's byte stream, in stream
+  // order. A range that `file` names twice is reported twice.
   void overlay_dirty(
       pvfs::Handle h, const ExtentList& file,
-      const std::function<void(u64 file_off, std::span<const std::byte>)>&
+      const std::function<void(u64 stream_pos, std::span<const std::byte>)>&
           apply) const;
 
   // --- Lease plane ---------------------------------------------------------

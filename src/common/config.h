@@ -161,8 +161,9 @@ struct FsParams {
 struct PvfsParams {
   u64 stripe_size = 64 * kKiB;       // PVFS default
   u32 max_list_pairs = 128;          // file accesses per list request (PVFS default)
-  u64 fast_rdma_threshold = 64 * kKiB;  // eager path for transfers below this
-  u64 fast_rdma_buffer = 64 * kKiB;     // pre-registered bounce buffer size
+  // The pre-registered bounce buffer: a round that fits it takes the eager
+  // write and the fast-bounce read return.
+  u64 fast_rdma_buffer = 64 * kKiB;
   u64 staging_buffer = 4 * kMiB;        // iod staging / sieve buffer size
   u64 request_msg_bytes = 256;          // wire size of a request header
   u64 reply_msg_bytes = 64;             // wire size of a reply header

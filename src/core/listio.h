@@ -35,21 +35,27 @@ u64 total_bytes(const MemSegmentList& segs);
 
 // Walks a memory segment list in stream order. take() appends the next
 // `want` bytes to `dst` as slices, extending dst's last slice when the two
-// are contiguous in memory.
+// are contiguous in memory; skip() passes over the next `n` bytes.
 class MemCursor {
  public:
   explicit MemCursor(std::span<const MemSegment> mem)
       : seg_(mem.data()), end_(mem.data() + mem.size()) {}
 
-  void take(u64 want, MemSegmentList& dst) {
+  void take(u64 want, MemSegmentList& dst) { walk(want, &dst); }
+  void skip(u64 n) { walk(n, nullptr); }
+
+ private:
+  void walk(u64 want, MemSegmentList* dst) {
     while (want > 0) {
       assert(seg_ != end_);
       const u64 n = std::min(seg_->length - used_, want);
       const u64 addr = seg_->addr + used_;
-      if (!dst.empty() && dst.back().addr + dst.back().length == addr) {
-        dst.back().length += n;
-      } else {
-        dst.push_back({addr, n});
+      if (dst != nullptr) {
+        if (!dst->empty() && dst->back().addr + dst->back().length == addr) {
+          dst->back().length += n;
+        } else {
+          dst->push_back({addr, n});
+        }
       }
       used_ += n;
       want -= n;
@@ -60,7 +66,6 @@ class MemCursor {
     }
   }
 
- private:
   const MemSegment* seg_;  // current segment
   const MemSegment* end_;
   u64 used_ = 0;  // bytes of *seg_ already taken

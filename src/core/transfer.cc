@@ -101,8 +101,8 @@ TransferOutcome NoncontigTransfer::run(Dir dir, TransferEndpoint& client,
 
   XferScheme scheme = policy.scheme;
   if (scheme == XferScheme::kHybrid) {
-    scheme = total <= policy.hybrid_threshold ? XferScheme::kPackUnpack
-                                              : XferScheme::kRdmaGatherScatter;
+    scheme = total <= client.bounce_size ? XferScheme::kPackUnpack
+                                         : XferScheme::kRdmaGatherScatter;
   }
   switch (scheme) {
     case XferScheme::kMultipleMessage:
@@ -141,6 +141,7 @@ TransferOutcome NoncontigTransfer::multiple_message(
           : fabric_.rdma_read_per_buffer(*client.hca, reg.sges, *server.hca,
                                          server.addr, server.rkey, posted);
   client.registrar->release(reg);
+  if (tr.ok()) land(dir, client, segments, server, {server.addr, tr.bytes});
   out.status = tr.status;
   out.bytes = tr.bytes;
   out.complete = tr.complete;
@@ -152,7 +153,6 @@ TransferOutcome NoncontigTransfer::pack_unpack(
     StagingBuffer& server, TimePoint ready, const TransferPolicy& policy) {
   TransferOutcome out;
   assert(client.bounce_size > 0 && "pack/unpack requires a bounce buffer");
-  vmem::AddressSpace& as = client.hca->address_space();
   TimePoint now = ready;
 
   u32 bounce_key = client.bounce_key;
@@ -174,9 +174,7 @@ TransferOutcome NoncontigTransfer::pack_unpack(
 
   // Stream the segments through the bounce buffer window by window. The
   // single bounce buffer serializes pack and wire phases (no pipelining).
-  // Each window's bytes move once, straight between the user's segments
-  // and the server buffer, and only once its booked transfer succeeded.
-  vmem::AddressSpace& server_as = server.hca->address_space();
+  // Each window lands once its transfer has succeeded.
   MemCursor cursor(segments);
   u64 stream_off = 0;
   const u64 total = stream_bytes(segments);
@@ -186,49 +184,29 @@ TransferOutcome NoncontigTransfer::pack_unpack(
     cursor.take(window, window_);
     const ib::Sge sge{client.bounce_addr, window, bounce_key};
     const MemSegment staged{server.addr + stream_off, window};
-    pieces_.clear();
+    // The pack into the bounce buffer is charged before its write, the
+    // unpack out of it after its fetch.
+    const Duration copy = mem_.copy_cost(window);
     if (dir == Dir::kPush) {
-      // The pack into the bounce buffer, charged; the bytes move once the
-      // bounce buffer's write is booked.
-      const Duration pack = mem_.copy_cost(window);
-      out.copy_cost += pack;
-      now += pack;
-      ib::TransferResult tr =
-          fabric_.book_write_gather(*client.hca, {&sge, 1}, *server.hca,
-                                    staged.addr, server.rkey, now);
-      if (!tr.ok()) {
-        out.status = tr.status;
-        out.complete = max(tr.complete, now);
-        return out;
-      }
-      now = tr.complete;
-      // Grow the destination before taking the sources' pointers, in case
-      // both sides share an address space.
-      server_as.writable_span(staged.addr, staged.length);
-      for (const MemSegment& s : window_) {
-        pieces_.push_back({as.readable_span(s.addr, s.length), s.length});
-      }
-      copy_stream(pieces_, server_as, {&staged, 1}, batch_);
-    } else {
-      // Fetch a window into the bounce buffer, then unpack: the bytes move
-      // once the read is booked, and the unpack is charged.
-      ib::TransferResult tr =
-          fabric_.book_read_scatter(*client.hca, {&sge, 1}, *server.hca,
-                                    staged.addr, server.rkey, now);
-      if (!tr.ok()) {
-        out.status = tr.status;
-        out.complete = max(tr.complete, now);
-        return out;
-      }
-      now = tr.complete;
-      // Likewise, grow the segments before taking staging's pointer.
-      for (const MemSegment& s : window_) as.writable_span(s.addr, s.length);
-      pieces_.push_back(
-          {server_as.readable_span(staged.addr, staged.length), window});
-      copy_stream(pieces_, as, window_, batch_);
-      const Duration unpack = mem_.copy_cost(window);
-      out.copy_cost += unpack;
-      now += unpack;
+      out.copy_cost += copy;
+      now += copy;
+    }
+    ib::TransferResult tr =
+        dir == Dir::kPush
+            ? fabric_.rdma_write_gather(*client.hca, {&sge, 1}, *server.hca,
+                                        staged.addr, server.rkey, now)
+            : fabric_.rdma_read_scatter(*client.hca, {&sge, 1}, *server.hca,
+                                        staged.addr, server.rkey, now);
+    if (!tr.ok()) {
+      out.status = tr.status;
+      out.complete = max(tr.complete, now);
+      return out;
+    }
+    now = tr.complete;
+    land(dir, client, window_, server, staged);
+    if (dir == Dir::kPull) {
+      out.copy_cost += copy;
+      now += copy;
     }
     stream_off += window;
   }
@@ -274,10 +252,33 @@ TransferOutcome NoncontigTransfer::gather_scatter(
     out.complete = max(tr.complete, now);
     return out;
   }
+  land(dir, client, segments, server, {server.addr, tr.bytes});
   out.status = Status::ok();
   out.bytes = tr.bytes;
   out.complete = tr.complete;
   return out;
+}
+
+void NoncontigTransfer::land(Dir dir, const TransferEndpoint& client,
+                             std::span<const MemSegment> segments,
+                             const StagingBuffer& server,
+                             const MemSegment& staged) {
+  const bool push = dir == Dir::kPush;
+  vmem::AddressSpace& dst_as =
+      (push ? server.hca : client.hca)->address_space();
+  const vmem::AddressSpace& src_as =
+      (push ? client.hca : server.hca)->address_space();
+  const std::span<const MemSegment> buffer(&staged, 1);
+  const std::span<const MemSegment> dst = push ? buffer : segments;
+  const std::span<const MemSegment> src = push ? segments : buffer;
+  // Grow the destination before taking the sources' pointers, in case both
+  // sides share an address space.
+  for (const MemSegment& d : dst) dst_as.writable_span(d.addr, d.length);
+  pieces_.clear();
+  for (const MemSegment& s : src) {
+    pieces_.push_back({src_as.readable_span(s.addr, s.length), s.length});
+  }
+  copy_stream(pieces_, dst_as, dst, batch_);
 }
 
 }  // namespace pvfsib::core

@@ -9,27 +9,30 @@
 //                       pool — the Fast-RDMA path — or be registered fresh)
 //   RDMA Gather/Scatter one work request carrying up to 64 SGEs, buffers
 //                       pinned via Optimistic Group Registration
-//   Hybrid              Pack/Unpack below the PVFS stripe size (64 kB),
-//                       Gather/Scatter above
+//   Hybrid              Pack/Unpack when the stream fits the bounce buffer
+//                       (64 kB, the PVFS stripe size), Gather/Scatter above
 //
 // push() moves client memory -> server buffer (file writes); pull() moves
-// server buffer -> client memory (file reads). Both chunk the stream when
-// it exceeds the server staging buffer or the pack bounce buffer.
+// server buffer -> client memory (file reads). Pack/unpack chunks the
+// stream through the bounce buffer; a stream larger than the server
+// staging buffer is refused (the PVFS layer splits it into rounds).
 //
-// Pack/unpack charges its copies into and out of the bounce buffer and
-// books the bounce buffer's wire hop, but each window's bytes move once,
-// between the user's segments and the server buffer.
+// The fabric only books each scheme's work requests. Once a transfer, or a
+// pack window, has succeeded, its bytes land once, straight between the
+// user's segments and the server buffer, through copy_stream. Pack/unpack
+// charges its copies into and out of the bounce buffer but never makes
+// them.
 #pragma once
 
 #include <span>
 #include <vector>
 
+#include "common/byte_mover.h"
 #include "common/config.h"
 #include "common/sim_time.h"
 #include "core/listio.h"
 #include "core/ogr.h"
 #include "ib/fabric.h"
-#include "ib/mr_cache.h"
 
 namespace pvfsib::core {
 
@@ -48,14 +51,13 @@ struct TransferPolicy {
   // Pack bounce buffer comes from a pre-registered pool ("pack, no reg");
   // false registers/deregisters it around every transfer ("pack, reg").
   bool pack_preregistered = true;
-  u64 hybrid_threshold = 64 * kKiB;
 };
 
-// One side's fixed transfer resources: its HCA, pin-down cache, registrar
-// and a pre-registered bounce buffer (the Fast-RDMA buffer).
+// One side's fixed transfer resources: its HCA, registrar and a
+// pre-registered bounce buffer (the Fast-RDMA buffer). kHybrid packs a
+// stream that fits the bounce buffer in one window.
 struct TransferEndpoint {
   ib::Hca* hca = nullptr;
-  ib::MrCache* cache = nullptr;
   GroupRegistrar* registrar = nullptr;
   u64 bounce_addr = 0;
   u64 bounce_size = 0;
@@ -134,9 +136,16 @@ class NoncontigTransfer {
                                  StagingBuffer& server, TimePoint ready,
                                  const TransferPolicy& policy);
 
+  // Copy the stream from the client's `segments` to `staged` in the server
+  // buffer (push), or back (pull), as one ByteMover batch. Called once the
+  // transfer that carries the bytes has succeeded.
+  void land(Dir dir, const TransferEndpoint& client,
+            std::span<const MemSegment> segments, const StagingBuffer& server,
+            const MemSegment& staged);
+
   ib::Fabric& fabric_;
   MemParams mem_;
-  // pack_unpack's per-window scratch, reused across transfers.
+  // pack_unpack's window and land()'s scratch, reused across transfers.
   MemSegmentList window_;
   std::vector<StreamPiece> pieces_;
   std::vector<CopyOp> batch_;

@@ -1,7 +1,5 @@
 #include "ib/fabric.h"
 
-#include <cassert>
-
 #include "fault/injector.h"
 
 namespace pvfsib::ib {
@@ -52,7 +50,7 @@ Duration Fabric::fixed_overheads(Op op, std::span<const Sge> sges,
 TransferResult Fabric::rdma_common(Op op, Hca& local,
                                    std::span<const Sge> sges, Hca& remote,
                                    u64 raddr, u32 rkey, TimePoint ready,
-                                   u32 sges_per_wr, bool move) {
+                                   u32 sges_per_wr) {
   TransferResult out;
   out.status = local.validate_sges(sges);
   if (!out.status.is_ok()) return out;
@@ -65,14 +63,12 @@ TransferResult Fabric::rdma_common(Op op, Hca& local,
   }
 
   if (faults_.completion_error()) {
-    // The WR was posted and errored on the HCA: no payload moves, no wire
-    // time is occupied, and the consumer sees a retryable failure.
+    // The WR was posted and errored on the HCA: no wire time is occupied,
+    // and the consumer sees a retryable failure.
     out.status = unavailable("work request completed in error (injected)");
     out.complete = ready + fixed_overheads(op, sges, sges_per_wr);
     return out;
   }
-
-  if (move) move_payload(op, local, sges, remote, raddr);
 
   const double bw =
       op == Op::kWrite ? params_.rdma_write_bw : params_.rdma_read_bw;
@@ -89,33 +85,6 @@ TransferResult Fabric::rdma_common(Op op, Hca& local,
   stats_.add(op == Op::kWrite ? stat::kRdmaWrite : stat::kRdmaRead);
   stats_.add(stat::kNetBytesData, static_cast<i64>(total));
   return out;
-}
-
-void Fabric::move_payload(Op op, Hca& local, std::span<const Sge> sges,
-                          Hca& remote, u64 raddr) {
-  // One batch; timing is virtual but the bytes are real. Growing a
-  // destination may move its address space, so every destination grows
-  // before any pointer is taken.
-  const bool is_write = op == Op::kWrite;
-  vmem::AddressSpace& dst_as =
-      is_write ? remote.address_space() : local.address_space();
-  const vmem::AddressSpace& src_as =
-      is_write ? local.address_space() : remote.address_space();
-  u64 rpos = raddr;
-  for (const Sge& s : sges) {
-    dst_as.writable_span(is_write ? rpos : s.addr, s.length);
-    rpos += s.length;
-  }
-  batch_.clear();
-  rpos = raddr;
-  for (const Sge& s : sges) {
-    const u64 dst = is_write ? rpos : s.addr;
-    const u64 src = is_write ? s.addr : rpos;
-    batch_.push_back({dst_as.writable_span(dst, s.length).data(),
-                      src_as.readable_span(src, s.length).data(), s.length});
-    rpos += s.length;
-  }
-  ByteMover::shared().copy(batch_);
 }
 
 TransferResult Fabric::rdma_write_gather(Hca& local, std::span<const Sge> sges,

@@ -3,9 +3,9 @@
 // Transfers are passive with respect to the event engine: a caller supplies
 // the time it is ready to start and receives the completion time; both
 // endpoint NICs are occupied for the wire time, which is how link-level
-// contention under fan-in/fan-out arises. Payload bytes really move between
-// the endpoints' address spaces so end-to-end data integrity is testable,
-// unless the caller books the transfer and moves the bytes itself.
+// contention under fan-in/fan-out arises. The fabric books a transfer and
+// moves none of its payload: the caller lands the bytes, once, after the
+// transfer succeeded (core::NoncontigTransfer, and the iod's read returns).
 //
 // Timing model for a (possibly chunked) gather/scatter RDMA of B bytes with
 // S SGEs split into W = ceil(S / max_sge) work requests:
@@ -21,9 +21,7 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
-#include "common/byte_mover.h"
 #include "common/config.h"
 #include "common/stats.h"
 #include "ib/verbs.h"
@@ -86,25 +84,6 @@ class Fabric {
     return rdma_read_scatter(local, {&sge, 1}, remote, raddr, rkey, ready);
   }
 
-  // Book a gather write or a scatter read without moving its payload: the
-  // same SGE and rkey checks, completion-error and perturbation draws, NIC
-  // occupancy, completion time and Stats as the moving form. A caller
-  // whose bytes already sit elsewhere moves them itself, and only when the
-  // booking succeeded, so each byte is copied once however many modelled
-  // hops it takes.
-  TransferResult book_write_gather(Hca& local, std::span<const Sge> sges,
-                                   Hca& remote, u64 raddr, u32 rkey,
-                                   TimePoint ready) {
-    return rdma_common(Op::kWrite, local, sges, remote, raddr, rkey, ready,
-                       params_.max_sge, /*move=*/false);
-  }
-  TransferResult book_read_scatter(Hca& local, std::span<const Sge> sges,
-                                   Hca& remote, u64 raddr, u32 rkey,
-                                   TimePoint ready) {
-    return rdma_common(Op::kRead, local, sges, remote, raddr, rkey, ready,
-                       params_.max_sge, /*move=*/false);
-  }
-
   const NetParams& params() const { return params_; }
 
  private:
@@ -112,17 +91,13 @@ class Fabric {
 
   TransferResult rdma_common(Op op, Hca& local, std::span<const Sge> sges,
                              Hca& remote, u64 raddr, u32 rkey, TimePoint ready,
-                             u32 sges_per_wr, bool move = true);
+                             u32 sges_per_wr);
   Duration fixed_overheads(Op op, std::span<const Sge> sges,
                            u32 sges_per_wr) const;
-  // Copy the payload of a transfer that passed its checks.
-  void move_payload(Op op, Hca& local, std::span<const Sge> sges, Hca& remote,
-                    u64 raddr);
 
   NetParams params_;
   Stats& stats_;
   fault::Injector& faults_;
-  std::vector<CopyOp> batch_;  // rdma_common's payload, reused per transfer
 };
 
 }  // namespace pvfsib::ib

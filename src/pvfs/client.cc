@@ -1,7 +1,6 @@
 #include "pvfs/client.h"
 
 #include <cassert>
-#include <cstring>
 
 #include "fault/injector.h"
 #include "sim/trace.h"
@@ -24,10 +23,10 @@ std::vector<std::byte> gather(const vmem::AddressSpace& as,
 }
 
 // Fast-RDMA eager test: a `bytes`-sized round fits the pre-registered
-// bounce buffer path under a packing transfer scheme.
+// bounce buffer under a packing transfer scheme.
 bool fast_rdma(const PvfsParams& p, const core::TransferPolicy& pol,
                u64 bytes) {
-  return bytes <= p.fast_rdma_threshold &&
+  return bytes <= p.fast_rdma_buffer &&
          (pol.scheme == core::XferScheme::kHybrid ||
           pol.scheme == core::XferScheme::kPackUnpack);
 }
@@ -142,7 +141,6 @@ Client::Client(u32 id, const ModelConfig& cfg, sim::Engine& engine,
         [this](const LeaseRevoke& rv) { ccache_.on_revoke(rv); });
   }
   ep_.hca = &hca_;
-  ep_.cache = &cache_;
   ep_.registrar = &registrar_;
   ep_.bounce_size = cfg.pvfs.fast_rdma_buffer;
   ep_.bounce_addr = as_.alloc(ep_.bounce_size);
@@ -315,14 +313,14 @@ void Client::start_op(const OpenFile& file, const core::ListIoRequest& req,
 
   // Optimistic Group Registration runs once per operation on the *user's*
   // buffer list (Section 4.3); the per-server slices later hit the pin-down
-  // cache. Pack-only transfers (and small hybrids on the Fast-RDMA path)
-  // skip registration entirely.
+  // cache. Pack-only transfers (and hybrids that fit the Fast-RDMA bounce
+  // buffer) skip registration entirely.
   const auto& pol = op->opts.policy;
   const bool needs_reg =
       pol.scheme == core::XferScheme::kMultipleMessage ||
       pol.scheme == core::XferScheme::kRdmaGatherScatter ||
       (pol.scheme == core::XferScheme::kHybrid &&
-       op->total_bytes > pol.hybrid_threshold);
+       op->total_bytes > cfg_.pvfs.fast_rdma_buffer);
   if (needs_reg) {
     const core::RegStrategy strat =
         pol.scheme == core::XferScheme::kMultipleMessage
@@ -419,16 +417,13 @@ bool Client::serve_cached_read(const OpenFile& file,
   // Full coverage with current tags: hand the bytes over host-side. The
   // list-I/O contract makes the concatenated memory segments correspond
   // byte-for-byte to the concatenated file extents.
-  u64 off = 0;
-  for (const core::MemSegment& m : req.mem) {
-    std::memcpy(as_.data(m.addr), bytes.data() + off, m.length);
-    off += m.length;
-  }
+  const core::StreamPiece piece{bytes, bytes.size()};
+  core::copy_stream({&piece, 1}, as_, req.mem, copy_batch_);
   const TimePoint s = max(start, engine_.now());
   sim::Trace::instance().emitf(
       s, hca_.name(), "read served from cache: %llu B",
-      static_cast<unsigned long long>(off));
-  done(IoResult::instant(Status::ok(), off, s));
+      static_cast<unsigned long long>(bytes.size()));
+  done(IoResult::instant(Status::ok(), bytes.size(), s));
   return true;
 }
 
@@ -467,20 +462,21 @@ void Client::start_flush(Handle h, IoCallback done) {
   auto runs = std::make_shared<std::vector<cache::ClientCache::DirtyRun>>(
       ccache_.dirty_runs(h));
   // The flush is an ordinary write op and sources its payload from client
-  // memory like one: copy the dirty runs into a scratch allocation.
+  // memory like one: copy the dirty runs into a scratch allocation, one
+  // memory segment per run.
   u64 total = 0;
   for (const auto& r : *runs) total += r.bytes.size();
   const u64 scratch = as_.alloc(total);
   core::ListIoRequest req;
+  std::vector<core::StreamPiece> pieces;
   u64 off = 0;
   for (const auto& r : *runs) {
-    std::span<std::byte> dst =
-        as_.writable_span(scratch + off, r.bytes.size());
-    std::memcpy(dst.data(), r.bytes.data(), r.bytes.size());
     req.mem.push_back({scratch + off, r.bytes.size()});
     req.file.push_back({r.offset, r.bytes.size()});
+    pieces.push_back({r.bytes, r.bytes.size()});
     off += r.bytes.size();
   }
+  core::copy_stream(pieces, as_, req.mem, copy_batch_);
   sim::Trace::instance().emitf(
       max(now_, engine_.now()), hca_.name(),
       "write-back: flushing %llu B in %zu runs",
@@ -525,33 +521,21 @@ void Client::cache_op_complete(OpState& op) {
   }
   if (ccache_.write_back() && ccache_.has_dirty(h)) {
     // Read-your-writes: overlay the pending dirty bytes over what the wire
-    // just delivered before the caller sees it.
+    // just delivered before the caller sees it, at every stream position
+    // the request names them.
+    core::MemCursor mem(op.creq.mem);
+    core::MemSegmentList dst;
+    std::vector<core::StreamPiece> pieces;
+    u64 at = 0;  // stream bytes the cursor has passed
     ccache_.overlay_dirty(
-        h, op.creq.file, [&](u64 foff, std::span<const std::byte> b) {
-          // Translate the file offset into the op's logical byte position,
-          // then scatter into the memory segment list from there.
-          u64 logical = 0;
-          for (const Extent& e : op.creq.file) {
-            if (foff >= e.offset && foff < e.end()) {
-              logical += foff - e.offset;
-              break;
-            }
-            logical += e.length;
-          }
-          u64 pos = logical;
-          u64 src = 0;
-          for (const core::MemSegment& m : op.creq.mem) {
-            if (pos >= m.length) {
-              pos -= m.length;
-              continue;
-            }
-            const u64 n = std::min(m.length - pos, b.size() - src);
-            std::memcpy(as_.data(m.addr + pos), b.data() + src, n);
-            src += n;
-            pos = 0;
-            if (src == b.size()) break;
-          }
+        h, op.creq.file, [&](u64 pos, std::span<const std::byte> b) {
+          assert(pos >= at);
+          mem.skip(pos - at);
+          mem.take(b.size(), dst);
+          pieces.push_back({b, b.size()});
+          at = pos + b.size();
         });
+    core::copy_stream(pieces, as_, dst, copy_batch_);
   }
   if (!op.cache_insertable) return;
   for (u32 s : op.stripes) {
@@ -1371,8 +1355,8 @@ void Client::run_read_round(std::shared_ptr<OpState> op, Round& r,
     };
     switch (path) {
       case ReadReturn::kFastBounce: {
-        // Unpack the bounce buffer into the user's list buffers. The bounce
-        // write was booked without moving bytes, so the unpack copies the
+        // Unpack the bounce buffer into the user's list buffers. The fabric
+        // moved no bytes of the bounce write, so the unpack copies the
         // stream's file views straight to the list buffers, in stream
         // order; no file changed since read_round returned.
         core::copy_stream(svc.stream, as_, r.mem, copy_batch_);

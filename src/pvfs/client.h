@@ -498,7 +498,7 @@ class Client {
   std::map<Handle, FileMeta> wb_files_;
   std::map<Handle, bool> wb_timer_armed_;
   core::TransferEndpoint ep_;  // bounce buffer endpoint
-  std::vector<CopyOp> copy_batch_;  // a fast-bounce unpack's, reused
+  std::vector<CopyOp> copy_batch_;  // copy_stream's batch, reused
   TimePoint now_ = TimePoint::origin();
 };
 

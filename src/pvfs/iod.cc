@@ -12,6 +12,16 @@ namespace pvfsib::pvfs {
 
 namespace {
 std::string iod_name(u32 id) { return "iod" + std::to_string(id); }
+
+// Restamp every checksum block of `f` overlapping `accesses` (plus, when
+// the apply grew the file past `pre_size`, the zero-filled growth, whose
+// blocks changed extent) as the hash of the file's current contents.
+void stamp_round(disk::LocalFile& f, const ExtentList& accesses,
+                 u64 pre_size) {
+  ExtentList ranges = accesses;
+  if (f.size() > pre_size) ranges.push_back({pre_size, f.size() - pre_size});
+  f.stamp(ranges);
+}
 }  // namespace
 
 Iod::Iod(u32 id, u32 client_count, const ModelConfig& cfg, ib::Fabric& fabric,
@@ -90,11 +100,10 @@ core::StagingBuffer& Iod::staging(u32 client, u32 slot) {
   return staging_[idx];
 }
 
-Iod::DiskPhase Iod::write_disk_phase(const RoundRequest& r,
+Iod::DiskPhase Iod::write_disk_phase(disk::LocalFile& f, const RoundRequest& r,
                                      std::span<const std::byte> stream,
                                      TimePoint when) {
   DiskPhase out;
-  disk::LocalFile& f = file(r.handle);
   const disk::IoOpts io{};
 
   // Short-circuit: the decision model is only consulted (and only counts
@@ -201,8 +210,9 @@ Iod::WriteService Iod::write_round(const RoundRequest& r,
   }
   const std::span<const std::byte> stream =
       as_.readable_span(sb.addr, r.bytes());
-  const u64 pre_size = file(r.handle).size();
-  DiskPhase phase = write_disk_phase(r, stream, data_ready);
+  disk::LocalFile& f = file(r.handle);
+  const u64 pre_size = f.size();
+  DiskPhase phase = write_disk_phase(f, r, stream, data_ready);
   // Rounds on one iod are serialized by the disk queue (pipelined rounds
   // arrive in data-phase order), so the RMW range lock can never conflict;
   // a failure here is a protocol bug.
@@ -212,11 +222,11 @@ Iod::WriteService Iod::write_round(const RoundRequest& r,
   // Stamp block checksums from the *intended* content, then let torn/flip
   // corruption garble the stored bytes behind the stamps — that mismatch
   // is exactly what verify-on-read and the scrubber detect.
-  stamp_round(r.handle, r.accesses, pre_size);
+  stamp_round(f, r.accesses, pre_size);
   if (torn) {
-    corrupt_torn(r.handle, r.accesses, data_ready);
+    corrupt_torn(f, r, data_ready);
   } else if (flip) {
-    corrupt_flip(r.handle, r.accesses, data_ready);
+    corrupt_flip(f, r, data_ready);
   }
   // Merge the round's version into the stripe header (kept as if durable,
   // like applied_seq_). Unversioned rounds — the only kind at factor 1 —
@@ -260,13 +270,14 @@ TimePoint Iod::apply_repair(Handle h, const ExtentList& accesses,
   rr.is_write = true;
   rr.use_ads = false;  // the repair stream is already round-shaped
   rr.accesses = accesses;
-  const u64 pre_size = file(h).size();
-  DiskPhase phase = write_disk_phase(rr, stream, at);
+  disk::LocalFile& f = file(h);
+  const u64 pre_size = f.size();
+  DiskPhase phase = write_disk_phase(f, rr, stream, at);
   assert(phase.status.is_ok());
   phase.cost = disk_scaled(phase.cost, at);
   // Repairs stamp like any apply: the healed bytes must verify on the next
   // read (and the scrubber must not re-flag the repaired blocks).
-  stamp_round(h, accesses, pre_size);
+  stamp_round(f, accesses, pre_size);
   if (version != 0) {
     u64& header = stripe_version_[h];
     header = std::max(header, version);
@@ -352,7 +363,8 @@ void Iod::resync_step(std::shared_ptr<ResyncState> st) {
       st->rounds = 0;
       continue;
     }
-    const u64 peer_size = peer->file(peer_handle).size();
+    disk::LocalFile& source = peer->file(peer_handle);
+    const u64 peer_size = source.size();
     if (st->off >= peer_size) {
       // Stripe fully pulled: the copy now holds everything the map's
       // latest version covers, so the replica is current again.
@@ -399,7 +411,7 @@ void Iod::resync_step(std::shared_ptr<ResyncState> st) {
         std::min(cfg_.replication.resync_bandwidth, cfg_.net.rdma_read_bw);
     const Duration wire =
         cfg_.net.rdma_read_latency + transfer_time(rd.value, bw);
-    if (!peer->verify_ranges(peer_handle, {{st->off, rd.value}})) {
+    if (!source.verify({{st->off, rd.value}})) {
       // The pull source itself is rotten: applying (and restamping) its
       // bytes here would launder the corruption into a copy that verifies
       // clean — silent rot, the one thing the integrity plane must never
@@ -426,7 +438,7 @@ void Iod::resync_step(std::shared_ptr<ResyncState> st) {
     const u64 pre_size = lf.size();
     const Timed<u64> wr = lf.pwrite(st->off, {buf.data(), rd.value}, {});
     // Resync applies stamp like writes do: the rebuilt copy must verify.
-    stamp_round(tg.local_handle, {{st->off, rd.value}}, pre_size);
+    stamp_round(lf, {{st->off, rd.value}}, pre_size);
     stats_.add(stat::kPvfsResyncRounds);
     st->off += rd.value;
     ++st->rounds;
@@ -454,7 +466,8 @@ Iod::ReadService Iod::read_round(const RoundRequest& r, TimePoint start,
   // was acked (bit flip, torn write); this replica is reachable but
   // untrustworthy, so the round fails typed kCorrupt and the client fails
   // over instead of retrying here.
-  if (!verify_ranges(r.handle, r.accesses)) {
+  disk::LocalFile& f = file(r.handle);
+  if (!f.verify(r.accesses)) {
     stats_.add(stat::kPvfsCorruptionsDetected);
     sim::Trace::instance().emitf(
         start, hca_.name(), "read round h%llu: block checksum MISMATCH",
@@ -465,7 +478,6 @@ Iod::ReadService Iod::read_round(const RoundRequest& r, TimePoint start,
     return svc;
   }
 
-  disk::LocalFile& f = file(r.handle);
   core::AdsDecision decision;
   if (r.use_ads) {
     decision = ads_.decide(r.accesses, /*is_write=*/false, f.size());
@@ -484,8 +496,8 @@ Iod::ReadService Iod::read_round(const RoundRequest& r, TimePoint start,
   // changes. Each return path copies them once, to where the next reader
   // looks: the staging slot for a client pull, the client's buffer after a
   // direct gather, and the client's list buffers (in Client, once the
-  // reply arrives) after a fast bounce. The bounce write and the gathers
-  // are booked on the fabric and move nothing themselves.
+  // reply arrives) after a fast bounce. The fabric moves no bytes of the
+  // bounce write or the gathers itself.
   stream_.clear();
   if (!sieve) {
     // Access by access, one view per access.
@@ -504,7 +516,7 @@ Iod::ReadService Iod::read_round(const RoundRequest& r, TimePoint start,
       svc.ready = data_at;
     } else {
       const ib::Sge sge{sb.addr, total, sb.rkey};
-      ib::TransferResult tr = fabric_.book_write_gather(
+      ib::TransferResult tr = fabric_.rdma_write_gather(
           hca_, {&sge, 1}, *client_hca, client_dest, client_rkey, data_at);
       if (!tr.ok()) {
         svc.status = tr.status;
@@ -544,7 +556,7 @@ Iod::ReadService Iod::read_round(const RoundRequest& r, TimePoint start,
       // Ship wanted pieces straight out of the sieve buffer, one gather per
       // run of stream-consecutive pieces (the remote side of a gather WR is
       // contiguous). No pack copy — the scatter/gather NIC does the work.
-      // Once a gather is booked, its run's views land in the client's
+      // Once a gather succeeds, its run's views land in the client's
       // buffer; a gather that completes in error fails the round with its
       // status.
       std::vector<ib::Sge> run;
@@ -552,7 +564,7 @@ Iod::ReadService Iod::read_round(const RoundRequest& r, TimePoint start,
       u64 run_next = 0;
       auto flush_run = [&] {
         if (run.empty()) return true;
-        ib::TransferResult tr = fabric_.book_write_gather(
+        ib::TransferResult tr = fabric_.rdma_write_gather(
             hca_, run, *client_hca, client_dest + run_start, client_rkey,
             disk_done);
         run.clear();
@@ -604,7 +616,7 @@ Iod::ReadService Iod::read_round(const RoundRequest& r, TimePoint start,
       break;
     case ReadReturn::kFastBounce: {
       const ib::Sge sge{sb.addr, total, sb.rkey};
-      ib::TransferResult tr = fabric_.book_write_gather(
+      ib::TransferResult tr = fabric_.rdma_write_gather(
           hca_, {&sge, 1}, *client_hca, client_dest, client_rkey, disk_done);
       if (!tr.ok()) {
         svc.status = tr.status;
@@ -632,29 +644,15 @@ void Iod::deliver(std::span<const core::StreamPiece> pieces,
 
 // --- Data integrity ---------------------------------------------------------
 
-void Iod::stamp_round(Handle h, const ExtentList& accesses, u64 pre_size) {
-  disk::LocalFile& f = file(h);
-  ExtentList ranges = accesses;
-  // Growth restamps the zero-filled gap and the old tail block, whose
-  // extent (and therefore checksum) changed when the file grew.
-  if (f.size() > pre_size) ranges.push_back({pre_size, f.size() - pre_size});
-  f.stamp(ranges);
-}
-
-bool Iod::verify_ranges(Handle h, const ExtentList& accesses) {
-  const auto fit = files_.find(h);
-  return fit == files_.end() || fs_.file(fit->second).verify(accesses);
-}
-
-void Iod::corrupt_torn(Handle h, const ExtentList& accesses, TimePoint at) {
-  const u64 total = total_length(accesses);
+void Iod::corrupt_torn(disk::LocalFile& f, const RoundRequest& r,
+                       TimePoint at) {
+  const u64 total = total_length(r.accesses);
   if (total == 0) return;
   // Keep a prefix of the round's stream on the platter; the torn tail
   // reads back garbled under the intact (intended-content) stamps.
   const u64 keep = faults_.draw(total);
-  disk::LocalFile& f = file(h);
   u64 pos = 0;
-  for (const Extent& a : accesses) {
+  for (const Extent& a : r.accesses) {
     if (pos + a.length > keep) {
       const u64 skip = keep > pos ? keep - pos : 0;
       f.corrupt({a.offset + skip, a.length - skip}, std::byte{0x5a});
@@ -664,18 +662,18 @@ void Iod::corrupt_torn(Handle h, const ExtentList& accesses, TimePoint at) {
   sim::Trace::instance().emitf(
       at, hca_.name(),
       "torn write injected on h%llu: kept %llu of %llu B",
-      static_cast<unsigned long long>(h),
+      static_cast<unsigned long long>(r.handle),
       static_cast<unsigned long long>(keep),
       static_cast<unsigned long long>(total));
 }
 
-void Iod::corrupt_flip(Handle h, const ExtentList& accesses, TimePoint at) {
-  const u64 total = total_length(accesses);
+void Iod::corrupt_flip(disk::LocalFile& f, const RoundRequest& r,
+                       TimePoint at) {
+  const u64 total = total_length(r.accesses);
   if (total == 0) return;
   u64 pos = faults_.draw(total);
   const u32 bit = static_cast<u32>(faults_.draw(8));
-  disk::LocalFile& f = file(h);
-  for (const Extent& a : accesses) {
+  for (const Extent& a : r.accesses) {
     if (pos < a.length) {
       const u64 off = a.offset + pos;
       if (off < f.size()) {
@@ -683,7 +681,7 @@ void Iod::corrupt_flip(Handle h, const ExtentList& accesses, TimePoint at) {
         sim::Trace::instance().emitf(
             at, hca_.name(),
             "bit flip injected on h%llu at %llu (bit %u)",
-            static_cast<unsigned long long>(h),
+            static_cast<unsigned long long>(r.handle),
             static_cast<unsigned long long>(off), bit);
       }
       return;
@@ -786,7 +784,7 @@ void Iod::scrub_tick(std::shared_ptr<ScrubState> st) {
       std::vector<std::byte> scratch(n);
       const Timed<u64> rd = f.pread(st->off, scratch, {});
       done = disk_queue_.acquire(done, disk_scaled(rd.cost, now));
-      if (!verify_ranges(h, {{st->off, n}})) {
+      if (!f.verify({{st->off, n}})) {
         stats_.add(stat::kPvfsScrubCorruptions);
         stats_.add(stat::kPvfsCorruptionsDetected);
         sim::Trace::instance().emitf(

@@ -216,9 +216,10 @@ class Iod {
     Status status;
   };
 
-  // Execute the disk work for a write round against the packed stream in
-  // `stream` (real bytes), charging LocalFile costs.
-  DiskPhase write_disk_phase(const RoundRequest& r,
+  // Execute the disk work for a write round on `f`, the local file of
+  // r.handle, against the packed stream in `stream` (real bytes), charging
+  // LocalFile costs.
+  DiskPhase write_disk_phase(disk::LocalFile& f, const RoundRequest& r,
                              std::span<const std::byte> stream,
                              TimePoint when);
 
@@ -241,19 +242,12 @@ class Iod {
   void resync_step(std::shared_ptr<ResyncState> st);
 
   // --- Integrity internals ----------------------------------------------
-  // Restamp every checksum block overlapping `accesses` — plus, when the
-  // apply grew the file past `pre_size`, the zero-filled growth (whose
-  // blocks changed extent) — as the hash of the file's current contents.
-  void stamp_round(Handle h, const ExtentList& accesses, u64 pre_size);
-  // Check the stamped checksums of every block overlapping `accesses`;
-  // false on any mismatch. Blocks without a stamp (format-v1 headers from
-  // before the apply) are trusted, so old content stays readable.
-  bool verify_ranges(Handle h, const ExtentList& accesses);
-  // Corruption appliers (write_round, after stamping the intended bytes):
-  // garble a suffix of the round's stored byte ranges / flip one stored bit
-  // inside them. The injector's draws pick the split point and the bit.
-  void corrupt_torn(Handle h, const ExtentList& accesses, TimePoint at);
-  void corrupt_flip(Handle h, const ExtentList& accesses, TimePoint at);
+  // Corruption appliers (write_round, after stamping the intended bytes)
+  // on `f`, the local file of round `r`: garble a suffix of the round's
+  // stored byte ranges / flip one stored bit inside them. The injector's
+  // draws pick the split point and the bit.
+  void corrupt_torn(disk::LocalFile& f, const RoundRequest& r, TimePoint at);
+  void corrupt_flip(disk::LocalFile& f, const RoundRequest& r, TimePoint at);
   // One running scrub: the byte cursor over files_ and the tick bound.
   struct ScrubState;
   void scrub_tick(std::shared_ptr<ScrubState> st);

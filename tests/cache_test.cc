@@ -326,6 +326,44 @@ TEST(CacheTest, WriteBackStalenessBoundAutoFlushes) {
   }
 }
 
+// Read-your-writes reaches every copy of a range: a list read that names
+// [0, 8 KiB) twice, into two buffers, after a staged 4 KiB write at offset
+// 0, sees the staged bytes in both buffers and the wire's bytes past them.
+TEST(CacheTest, WriteBackOverlayReachesEveryCopyOfARange) {
+  ModelConfig cfg = cache_cfg();
+  cfg.cache.write_back = true;
+  cfg.cache.staleness_bound = Duration::ms(10'000.0);  // no auto-flush here
+  Cluster cluster(cfg, 1, 2);
+  Client& c = cluster.client(0);
+  OpenFile f = c.create("/twice").value();
+  const u64 n = 8 * kKiB;
+  const u64 half = n / 2;
+  const u64 old = c.memory().alloc(n);
+  fill(c, old, n, 44);
+  ASSERT_TRUE(c.write(f, 0, old, n).ok());
+  // Durable on the iods and dropped from the cache, so the read below
+  // misses and goes to the wire.
+  ASSERT_TRUE(c.close(f).ok());
+  f = c.open("/twice").value();
+  const u64 staged = c.memory().alloc(half);
+  fill(c, staged, half, 45);
+  ASSERT_TRUE(c.write(f, 0, staged, half).ok());
+  ASSERT_TRUE(c.data_cache().has_dirty(f.meta.handle));
+
+  core::ListIoRequest req;
+  const u64 a = c.memory().alloc(n);
+  const u64 b = c.memory().alloc(n);
+  req.mem = {{a, n}, {b, n}};
+  req.file = {{0, n}, {0, n}};
+  const IoResult r = c.read_list(f, req);
+  ASSERT_TRUE(r.ok()) << r.status.to_string();
+  for (const u64 dst : {a, b}) {
+    SCOPED_TRACE(dst == a ? "first copy" : "second copy");
+    EXPECT_TRUE(equal_mem(c, dst, staged, half));
+    EXPECT_TRUE(equal_mem(c, dst + half, old + half, half));
+  }
+}
+
 TEST(CacheTest, NoteVersionDropsConflictingEntry) {
   // Direct unit test of the version-tag plane: an entry tagged with an
   // older stripe version than a note_replica_version conflict reports is
