@@ -463,7 +463,7 @@ void Client::start_flush(Handle h, IoCallback done) {
       ccache_.dirty_runs(h));
   // The flush is an ordinary write op and sources its payload from client
   // memory like one: copy the dirty runs into a scratch allocation, one
-  // memory segment per run.
+  // memory segment per run, freed when the op completes.
   u64 total = 0;
   for (const auto& r : *runs) total += r.bytes.size();
   const u64 scratch = as_.alloc(total);
@@ -483,7 +483,8 @@ void Client::start_flush(Handle h, IoCallback done) {
       static_cast<unsigned long long>(total), runs->size());
   start_op(
       file, req, IoOptions{}, max(now_, engine_.now()), /*is_write=*/true,
-      [this, h, runs, done = std::move(done)](IoResult r) {
+      [this, h, runs, scratch, done = std::move(done)](IoResult r) {
+        (void)as_.free_at(scratch);
         if (r.ok()) {
           Manager& auth = meta_.authority(h);
           const auto tags = [&](u32 stripe, u64* seq, u64* version) {

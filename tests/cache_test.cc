@@ -326,6 +326,29 @@ TEST(CacheTest, WriteBackStalenessBoundAutoFlushes) {
   }
 }
 
+// A write-back flush stages its payload in a scratch allocation of the
+// client's memory and frees it when the flush completes, so a hundred
+// rounds of write then flush leave the mapped bytes where one round did.
+TEST(CacheTest, RepeatedFlushesKeepMappedBytesFlat) {
+  ModelConfig cfg = cache_cfg();
+  cfg.cache.write_back = true;
+  cfg.cache.staleness_bound = Duration::ms(10'000.0);  // no auto-flush here
+  Cluster cluster(cfg, 1, 2);
+  Client& c = cluster.client(0);
+  OpenFile f = c.create("/flushes").value();
+  const u64 n = 64 * kKiB;
+  const u64 src = c.memory().alloc(n);
+  fill(c, src, n, 46);
+  const u64 mapped = c.memory().bytes_mapped();
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(c.write(f, 0, src, n).ok());
+    ASSERT_TRUE(c.data_cache().has_dirty(f.meta.handle));
+    const IoResult fl = c.flush(f);
+    ASSERT_TRUE(fl.ok()) << fl.status.to_string();
+    ASSERT_EQ(c.memory().bytes_mapped(), mapped) << "after flush " << i + 1;
+  }
+}
+
 // Read-your-writes reaches every copy of a range: a list read that names
 // [0, 8 KiB) twice, into two buffers, after a staged 4 KiB write at offset
 // 0, sees the staged bytes in both buffers and the wire's bytes past them.
