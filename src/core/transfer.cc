@@ -69,6 +69,21 @@ void copy_stream(std::span<const StreamPiece> pieces, vmem::AddressSpace& as,
   ByteMover::shared().copy(batch);
 }
 
+void copy_segments(const vmem::AddressSpace& from,
+                   std::span<const MemSegment> src, vmem::AddressSpace& to,
+                   std::span<const MemSegment> dst,
+                   std::vector<StreamPiece>& pieces,
+                   std::vector<CopyOp>& batch) {
+  // Grow the destination before taking the sources' pointers, in case both
+  // sides share an address space.
+  for (const MemSegment& d : dst) to.writable_span(d.addr, d.length);
+  pieces.clear();
+  for (const MemSegment& s : src) {
+    pieces.push_back({from.readable_span(s.addr, s.length), s.length});
+  }
+  copy_stream(pieces, to, dst, batch);
+}
+
 TransferOutcome NoncontigTransfer::push(TransferEndpoint& client,
                                         std::span<const MemSegment> segments,
                                         StagingBuffer& server, TimePoint ready,
@@ -263,22 +278,14 @@ void NoncontigTransfer::land(Dir dir, const TransferEndpoint& client,
                              std::span<const MemSegment> segments,
                              const StagingBuffer& server,
                              const MemSegment& staged) {
-  const bool push = dir == Dir::kPush;
-  vmem::AddressSpace& dst_as =
-      (push ? server.hca : client.hca)->address_space();
-  const vmem::AddressSpace& src_as =
-      (push ? client.hca : server.hca)->address_space();
+  vmem::AddressSpace& client_as = client.hca->address_space();
+  vmem::AddressSpace& server_as = server.hca->address_space();
   const std::span<const MemSegment> buffer(&staged, 1);
-  const std::span<const MemSegment> dst = push ? buffer : segments;
-  const std::span<const MemSegment> src = push ? segments : buffer;
-  // Grow the destination before taking the sources' pointers, in case both
-  // sides share an address space.
-  for (const MemSegment& d : dst) dst_as.writable_span(d.addr, d.length);
-  pieces_.clear();
-  for (const MemSegment& s : src) {
-    pieces_.push_back({src_as.readable_span(s.addr, s.length), s.length});
+  if (dir == Dir::kPush) {
+    copy_segments(client_as, segments, server_as, buffer, pieces_, batch_);
+  } else {
+    copy_segments(server_as, buffer, client_as, segments, pieces_, batch_);
   }
-  copy_stream(pieces_, dst_as, dst, batch_);
 }
 
 }  // namespace pvfsib::core

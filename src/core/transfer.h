@@ -88,6 +88,16 @@ struct StreamPiece {
 void copy_stream(std::span<const StreamPiece> pieces, vmem::AddressSpace& as,
                  std::span<const MemSegment> dst, std::vector<CopyOp>& batch);
 
+// Copy the stream laid over the segments `src` of `from` onto the segments
+// `dst` of `to`, as one copy_stream call; `pieces` and `batch` are its
+// scratch. `from` and `to` may be one address space: every destination
+// grows before any source is viewed.
+void copy_segments(const vmem::AddressSpace& from,
+                   std::span<const MemSegment> src, vmem::AddressSpace& to,
+                   std::span<const MemSegment> dst,
+                   std::vector<StreamPiece>& pieces,
+                   std::vector<CopyOp>& batch);
+
 struct TransferOutcome {
   Status status;
   TimePoint complete = TimePoint::origin();

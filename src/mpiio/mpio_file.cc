@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <functional>
+
+#include "core/transfer.h"
 
 namespace pvfsib::mpiio {
 
@@ -30,59 +31,6 @@ namespace {
 constexpr u64 kCbBufferSize = 4 * kMiB;
 constexpr u64 kIndRdBufferSize = 4 * kMiB;
 
-// Maps packed-stream offsets onto the (noncontiguous) user buffer.
-class StreamMap {
- public:
-  StreamMap(u64 base, const ExtentList& rel) {
-    u64 stream = 0;
-    for (const Extent& e : rel) {
-      segs_.push_back({base + e.offset, e.length});
-      cum_.push_back(stream);
-      stream += e.length;
-    }
-    total_ = stream;
-  }
-
-  // Invoke fn(abs_addr, n) over the pieces of stream range [off, off+len).
-  template <typename F>
-  void for_range(u64 off, u64 len, F&& fn) const {
-    assert(off + len <= total_);
-    size_t i =
-        std::upper_bound(cum_.begin(), cum_.end(), off) - cum_.begin() - 1;
-    while (len > 0) {
-      const u64 within = off - cum_[i];
-      const u64 n = std::min(segs_[i].length - within, len);
-      fn(segs_[i].offset + within, n);
-      off += n;
-      len -= n;
-      ++i;
-    }
-  }
-
- private:
-  std::vector<Extent> segs_;
-  std::vector<u64> cum_;
-  u64 total_ = 0;
-};
-
-// One rank's access: its file extents in stream order, the stream offset
-// of each, and the map from stream offsets onto its memory.
-struct Access {
-  explicit Access(const RankIo& io)
-      : file(io.view.map_range(io.view_offset, io.bytes)),
-        mem(io.mem_addr, io.memtype.prefix(io.bytes)) {
-    u64 s = 0;
-    for (const Extent& e : file) {
-      stream.push_back(s);
-      s += e.length;
-    }
-  }
-
-  ExtentList file;
-  std::vector<u64> stream;
-  StreamMap mem;
-};
-
 core::ListIoRequest build_request(const RankIo& io) {
   core::ListIoRequest req;
   for (const Extent& e : io.memtype.prefix(io.bytes)) {
@@ -90,6 +38,73 @@ core::ListIoRequest build_request(const RankIo& io) {
   }
   req.file = io.view.map_range(io.view_offset, io.bytes);
   return req;
+}
+
+// One rank's access: its list request and the stream offset of each of its
+// file extents.
+struct Access {
+  explicit Access(const RankIo& io) : req(build_request(io)) {
+    u64 s = 0;
+    for (const Extent& e : req.file) {
+      stream.push_back(s);
+      s += e.length;
+    }
+  }
+
+  core::ListIoRequest req;
+  std::vector<u64> stream;
+};
+
+// A piece of a rank's access: its file extent and its offset in the rank's
+// data stream.
+struct Piece {
+  Extent phys;
+  u64 stream;
+};
+
+// The pieces of one rank's access that fall in a file window, in stream
+// order, and their byte count.
+struct Pieces {
+  std::vector<Piece> list;
+  u64 bytes = 0;
+};
+
+Pieces clip(const Access& acc, const Extent& window) {
+  Pieces out;
+  for (size_t i = 0; i < acc.req.file.size(); ++i) {
+    const Extent& fe = acc.req.file[i];
+    const u64 lo = std::max(fe.offset, window.offset);
+    const u64 hi = std::min(fe.end(), window.end());
+    if (lo >= hi) continue;
+    out.list.push_back({{lo, hi - lo}, acc.stream[i] + (lo - fe.offset)});
+    out.bytes += hi - lo;
+  }
+  return out;
+}
+
+// Copy `pieces` of `acc` once, between the rank's memory `rank_as` and the
+// buffer at `buf` of `buf_as` that holds the file from offset `file_lo`
+// on: into the buffer when `into_buf`, out of it otherwise.
+void land(const Access& acc, vmem::AddressSpace& rank_as,
+          const Pieces& pieces, vmem::AddressSpace& buf_as, u64 buf,
+          u64 file_lo, bool into_buf) {
+  core::MemCursor cursor(acc.req.mem);
+  core::MemSegmentList at_rank, at_buf;
+  u64 at = 0;  // stream bytes the cursor has passed
+  for (const Piece& p : pieces.list) {
+    assert(p.stream >= at);
+    cursor.skip(p.stream - at);
+    cursor.take(p.phys.length, at_rank);
+    at_buf.push_back({buf + (p.phys.offset - file_lo), p.phys.length});
+    at = p.stream + p.phys.length;
+  }
+  std::vector<core::StreamPiece> views;
+  std::vector<CopyOp> batch;
+  if (into_buf) {
+    core::copy_segments(rank_as, at_rank, buf_as, at_buf, views, batch);
+  } else {
+    core::copy_segments(buf_as, at_buf, rank_as, at_rank, views, batch);
+  }
 }
 
 // A contiguous call: `len` bytes between memory `addr` and file `offset`.
@@ -213,21 +228,24 @@ std::vector<pvfs::IoResult> File::access(const std::vector<RankIo>& io,
     const bool list = hints.method == IoMethod::kListIo ||
                       hints.method == IoMethod::kListIoAds;
     std::vector<Chain> chains(n, Chain{{}, comm_->barrier()});
+    core::MemSegmentList slices;
     for (int r = 0; r < n; ++r) {
       if (io[r].bytes == 0) continue;
+      core::ListIoRequest req = build_request(io[r]);
       if (list) {
-        chains[r].calls.push_back(build_request(io[r]));
+        chains[r].calls.push_back(std::move(req));
         continue;
       }
-      const Access acc(io[r]);
-      for (size_t i = 0; i < acc.file.size(); ++i) {
-        u64 offset = acc.file[i].offset;
-        acc.mem.for_range(acc.stream[i], acc.file[i].length,
-                          [&](u64 addr, u64 len) {
-                            chains[r].calls.push_back(
-                                contiguous(addr, offset, len));
-                            offset += len;
-                          });
+      // One call per memory slice of each file extent.
+      core::MemCursor mem(req.mem);
+      for (const Extent& fe : req.file) {
+        slices.clear();
+        mem.take(fe.length, slices);
+        u64 offset = fe.offset;
+        for (const core::MemSegment& m : slices) {
+          chains[r].calls.push_back(contiguous(m.addr, offset, m.length));
+          offset += m.length;
+        }
       }
     }
     out = run_chains(*comm_, handles_, chains, dir, opts);
@@ -251,8 +269,8 @@ std::vector<pvfs::IoResult> File::run_ds_read(const std::vector<RankIo>& io,
     if (io[r].bytes == 0) continue;
     // One call per staging-buffer chunk of the rank's [first, last] span.
     const u64 buf = scratch(r, kIndRdBufferSize);
-    const u64 hi = acc[r].file.back().end();
-    for (u64 lo = acc[r].file.front().offset; lo < hi;
+    const u64 hi = acc[r].req.file.back().end();
+    for (u64 lo = acc[r].req.file.front().offset; lo < hi;
          lo += kIndRdBufferSize) {
       chains[r].calls.push_back(
           contiguous(buf, lo, std::min(kIndRdBufferSize, hi - lo)));
@@ -265,22 +283,11 @@ std::vector<pvfs::IoResult> File::run_ds_read(const std::vector<RankIo>& io,
         // Sieve: copy the wanted pieces out of the staged chunk.
         const core::ListIoRequest& call = chains[r].calls[k];
         const Extent chunk = call.file.front();
+        const Pieces wanted = clip(acc[r], chunk);
         vmem::AddressSpace& m = comm_->rank(r).memory();
-        u64 copied = 0;
-        for (size_t i = 0; i < acc[r].file.size(); ++i) {
-          const Extent& fe = acc[r].file[i];
-          const u64 plo = std::max(fe.offset, chunk.offset);
-          const u64 phi = std::min(fe.end(), chunk.end());
-          if (plo >= phi) continue;
-          u64 src = call.mem.front().addr + (plo - chunk.offset);
-          acc[r].mem.for_range(acc[r].stream[i] + (plo - fe.offset),
-                               phi - plo, [&](u64 dst, u64 nn) {
-                                 std::memcpy(m.data(dst), m.data(src), nn);
-                                 src += nn;
-                               });
-          copied += phi - plo;
-        }
-        return res.end + mem.copy_cost(copied);
+        land(acc[r], m, wanted, m, call.mem.front().addr, chunk.offset,
+             /*into_buf=*/false);
+        return res.end + mem.copy_cost(wanted.bytes);
       });
 }
 
@@ -303,9 +310,9 @@ std::vector<pvfs::IoResult> File::run_two_phase(const std::vector<RankIo>& io,
   u64 lo = ~0ULL, hi = 0;
   for (int r = 0; r < n; ++r) {
     acc.emplace_back(io[r]);
-    if (!acc[r].file.empty()) {
-      lo = std::min(lo, acc[r].file.front().offset);
-      hi = std::max(hi, acc[r].file.back().end());
+    if (!acc[r].req.file.empty()) {
+      lo = std::min(lo, acc[r].req.file.front().offset);
+      hi = std::max(hi, acc[r].req.file.back().end());
     }
   }
   if (hi <= lo) {  // nothing to do
@@ -320,50 +327,24 @@ std::vector<pvfs::IoResult> File::run_two_phase(const std::vector<RankIo>& io,
     return Extent{dlo, dhi - dlo};
   };
 
-  // Pieces of rank s's access that fall in domain a.
-  struct Piece {
-    Extent phys;
-    u64 stream;  // offset in rank s's data stream
-  };
-  std::vector<std::vector<std::vector<Piece>>> pieces(
-      n, std::vector<std::vector<Piece>>(n));
+  // pairs[s][a]: the pieces of rank s's access in aggregator a's domain.
+  std::vector<std::vector<Pieces>> pairs(n);
   for (int s = 0; s < n; ++s) {
-    for (size_t i = 0; i < acc[s].file.size(); ++i) {
-      const Extent& fe = acc[s].file[i];
-      for (int a = 0; a < n; ++a) {
-        const Extent d = domain(a);
-        const u64 plo = std::max(fe.offset, d.offset);
-        const u64 phi = std::min(fe.end(), d.end());
-        if (plo < phi) {
-          pieces[s][a].push_back(
-              {{plo, phi - plo}, acc[s].stream[i] + (plo - fe.offset)});
-        }
-      }
-    }
+    for (int a = 0; a < n; ++a) pairs[s].push_back(clip(acc[s], domain(a)));
   }
 
-  // Aggregator-side assembly buffers sized to their domains, plus a pack/
-  // receive block large enough for the biggest (sender, aggregator) pair.
-  u64 inbound_max = kCbBufferSize;
-  for (int s = 0; s < n; ++s) {
-    for (int a = 0; a < n; ++a) {
-      u64 bytes = 0;
-      for (const Piece& p : pieces[s][a]) bytes += p.phys.length;
-      inbound_max = std::max(inbound_max, bytes);
-    }
-  }
+  // Aggregator-side assembly buffers sized to their domains.
   std::vector<u64> assembly(n);
-  std::vector<u64> inbound(n);
-  const MemParams& mem = comm_->cluster().config().mem;
-  for (int a = 0; a < n; ++a) {
-    const Extent d = domain(a);
-    // Scratch layout: [assembly | pack/receive block].
-    const u64 base = scratch(a, d.length + inbound_max);
-    assembly[a] = base;
-    inbound[a] = base + d.length;
-  }
+  for (int a = 0; a < n; ++a) assembly[a] = scratch(a, domain(a).length);
+  // Land pair (s, a)'s pieces once, between rank s's memory and aggregator
+  // a's assembly: into the assembly on a write, out of it on a read.
+  const auto exchange = [&](int s, int a) {
+    land(acc[s], comm_->rank(s).memory(), pairs[s][a],
+         comm_->rank(a).memory(), assembly[a], domain(a).offset, is_write);
+  };
 
   std::vector<TimePoint> agg_ready(n, start);  // assembly complete
+  const MemParams& mem = comm_->cluster().config().mem;
 
   // ROMIO processes file domains in cb_buffer-sized cycles, with an
   // alltoallv synchronization per cycle; charge that structural cost.
@@ -377,54 +358,24 @@ std::vector<pvfs::IoResult> File::run_two_phase(const std::vector<RankIo>& io,
   const Duration total_sync = cycle_sync * static_cast<i64>(cycles);
 
   if (is_write) {
-    // Phase 1: senders pack per-aggregator blocks, ship them, aggregators
-    // unpack into assembly position.
+    // Phase 1: every pair's pieces land in the aggregator's assembly. A
+    // remote pair is charged a pack at the sender, the message and an
+    // unpack at the aggregator; a local pair one copy.
     std::vector<TimePoint> sender_time(n, start);
     for (int s = 0; s < n; ++s) {
       for (int a = 0; a < n; ++a) {
-        u64 bytes = 0;
-        for (const Piece& p : pieces[s][a]) bytes += p.phys.length;
+        const u64 bytes = pairs[s][a].bytes;
         if (bytes == 0) continue;
-        const Extent d = domain(a);
+        exchange(s, a);
+        const Duration copy = mem.copy_cost(bytes);
         if (s == a) {
-          // Local: copy straight into assembly.
-          TimePoint t = max(sender_time[s], agg_ready[a]);
-          for (const Piece& p : pieces[s][a]) {
-            u64 dst = assembly[a] + (p.phys.offset - d.offset);
-            acc[s].mem.for_range(p.stream, p.phys.length, [&](u64 src, u64 nn) {
-              std::memcpy(comm_->rank(a).memory().data(dst),
-                          comm_->rank(s).memory().data(src), nn);
-              dst += nn;
-            });
-          }
-          t += mem.copy_cost(bytes);
-          sender_time[s] = t;
-          agg_ready[a] = max(agg_ready[a], t);
+          sender_time[s] = agg_ready[a] =
+              max(sender_time[s], agg_ready[a]) + copy;
           continue;
         }
-        // Pack at the sender (into its inbound scratch block, reused).
-        u64 pack_addr = inbound[s];
-        u64 pos = pack_addr;
-        for (const Piece& p : pieces[s][a]) {
-          acc[s].mem.for_range(p.stream, p.phys.length, [&](u64 srca, u64 nn) {
-            std::memcpy(comm_->rank(s).memory().data(pos),
-                        comm_->rank(s).memory().data(srca), nn);
-            pos += nn;
-          });
-        }
-        sender_time[s] += mem.copy_cost(bytes);
-        const TimePoint arrived = comm_->send(s, pack_addr, a, inbound[a],
-                                              bytes, sender_time[s]);
-        // Unpack at the aggregator.
-        u64 src = inbound[a];
-        for (const Piece& p : pieces[s][a]) {
-          std::memcpy(
-              comm_->rank(a).memory().data(assembly[a] +
-                                           (p.phys.offset - domain(a).offset)),
-              comm_->rank(a).memory().data(src), p.phys.length);
-          src += p.phys.length;
-        }
-        agg_ready[a] = max(agg_ready[a], arrived) + mem.copy_cost(bytes);
+        sender_time[s] += copy;
+        const TimePoint arrived = comm_->send(s, a, bytes, sender_time[s]);
+        agg_ready[a] = max(agg_ready[a], arrived) + copy;
       }
     }
     for (int s = 0; s < n; ++s) {
@@ -438,7 +389,7 @@ std::vector<pvfs::IoResult> File::run_two_phase(const std::vector<RankIo>& io,
   for (int a = 0; a < n; ++a) {
     ExtentList cover;
     for (int s = 0; s < n; ++s) {
-      for (const Piece& p : pieces[s][a]) cover.push_back(p.phys);
+      for (const Piece& p : pairs[s][a].list) cover.push_back(p.phys);
     }
     sort_by_offset(cover);
     const Extent d = domain(a);
@@ -456,53 +407,23 @@ std::vector<pvfs::IoResult> File::run_two_phase(const std::vector<RankIo>& io,
       results[a].end = max(results[a].end, agg[a].end);
     }
   } else {
-    // Phase 1 (read direction): aggregators scatter domain data back.
+    // Phase 1 (read direction): every pair's pieces land out of the
+    // aggregator's assembly, charged as the write's exchange in reverse.
     std::vector<TimePoint> recv_time(n, start);
     for (int a = 0; a < n; ++a) {
       TimePoint t_a = agg[a].end;
-      const Extent d = domain(a);
       for (int s = 0; s < n; ++s) {
-        u64 bytes = 0;
-        for (const Piece& p : pieces[s][a]) bytes += p.phys.length;
+        const u64 bytes = pairs[s][a].bytes;
         if (bytes == 0) continue;
+        exchange(s, a);
+        const Duration copy = mem.copy_cost(bytes);
         if (s == a) {
-          TimePoint t = t_a;
-          for (const Piece& p : pieces[s][a]) {
-            u64 src = assembly[a] + (p.phys.offset - d.offset);
-            acc[s].mem.for_range(p.stream, p.phys.length, [&](u64 dst, u64 nn) {
-              std::memcpy(comm_->rank(s).memory().data(dst),
-                          comm_->rank(a).memory().data(src), nn);
-              src += nn;
-            });
-          }
-          t += mem.copy_cost(bytes);
-          recv_time[s] = max(recv_time[s], t);
+          recv_time[s] = max(recv_time[s], t_a + copy);
           continue;
         }
-        // Pack pieces for rank s, send, unpack into user memory.
-        u64 pos = inbound[a];
-        for (const Piece& p : pieces[s][a]) {
-          std::memcpy(comm_->rank(a).memory().data(pos),
-                      comm_->rank(a).memory().data(
-                          assembly[a] + (p.phys.offset - d.offset)),
-                      p.phys.length);
-          pos += p.phys.length;
-        }
-        t_a += mem.copy_cost(bytes);
-        // Destination staging at the receiver: its inbound block.
-        const u64 dst_tmp = inbound[s];
-        const TimePoint arrived = comm_->send(a, inbound[a], s, dst_tmp,
-                                              bytes, t_a);
-        u64 src = dst_tmp;
-        for (const Piece& p : pieces[s][a]) {
-          acc[s].mem.for_range(p.stream, p.phys.length, [&](u64 dst, u64 nn) {
-            std::memcpy(comm_->rank(s).memory().data(dst),
-                        comm_->rank(s).memory().data(src), nn);
-            src += nn;
-          });
-        }
-        recv_time[s] =
-            max(recv_time[s], arrived + mem.copy_cost(bytes));
+        t_a += copy;
+        const TimePoint arrived = comm_->send(a, s, bytes, t_a);
+        recv_time[s] = max(recv_time[s], arrived + copy);
       }
     }
     for (int s = 0; s < n; ++s) {

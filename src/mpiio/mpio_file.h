@@ -75,7 +75,8 @@ class File {
                                             pvfs::IoDir dir,
                                             const pvfs::IoOptions& opts);
 
-  // Persistent per-rank scratch allocations (DS staging, two-phase blocks).
+  // A rank's persistent scratch allocation, regrown on demand: the
+  // data-sieving read's staging chunk or a collective's assembly buffer.
   u64 scratch(int rank, u64 bytes);
 
   Communicator* comm_;

@@ -1,7 +1,5 @@
 #include "mpiio/runtime.h"
 
-#include <cstring>
-
 namespace pvfsib::mpiio {
 
 Communicator::Communicator(pvfs::Cluster& cluster) : cluster_(cluster) {
@@ -21,12 +19,9 @@ TimePoint Communicator::barrier() {
   return t;
 }
 
-TimePoint Communicator::send(int src, u64 src_addr, int dst, u64 dst_addr,
-                             u64 bytes, TimePoint ready) {
-  pvfs::Client& s = rank(src);
-  pvfs::Client& d = rank(dst);
-  std::memcpy(d.memory().data(dst_addr), s.memory().data(src_addr), bytes);
-  return cluster_.fabric().send_control(s.hca(), d.hca(), bytes, ready,
+TimePoint Communicator::send(int src, int dst, u64 bytes, TimePoint ready) {
+  return cluster_.fabric().send_control(rank(src).hca(), rank(dst).hca(),
+                                        bytes, ready,
                                         ib::ControlKind::kInterClient);
 }
 

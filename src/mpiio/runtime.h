@@ -1,9 +1,10 @@
 // Mini-MPI runtime: a communicator over the cluster's compute nodes.
 //
-// Ranks are PVFS clients; collectives move real bytes between rank address
-// spaces and charge channel-semantics fabric time (the MVAPICH path of
-// Table 2). The benches drive all ranks from one thread, so collectives are
-// whole-communicator operations rather than per-rank SPMD calls.
+// Ranks are PVFS clients; messages between ranks charge channel-semantics
+// fabric time (the MVAPICH path of Table 2) and move no bytes: the caller
+// lands a message's bytes itself, once, where they end up. The benches
+// drive all ranks from one thread, so collectives are whole-communicator
+// operations rather than per-rank SPMD calls.
 #pragma once
 
 #include <vector>
@@ -25,11 +26,10 @@ class Communicator {
   // returns the common release time.
   TimePoint barrier();
 
-  // Point-to-point bulk transfer: copies [src_addr, +bytes) in rank `src`'s
-  // memory to dst_addr in rank `dst`'s memory, charging channel-semantics
-  // time from `ready`. Returns arrival time.
-  TimePoint send(int src, u64 src_addr, int dst, u64 dst_addr, u64 bytes,
-                 TimePoint ready);
+  // Point-to-point bulk message of `bytes` from rank `src` to rank `dst`:
+  // books channel-semantics time from `ready` and moves no bytes. Returns
+  // the arrival time.
+  TimePoint send(int src, int dst, u64 bytes, TimePoint ready);
 
   // All-to-all metadata exchange of `bytes` per rank pair (offset lists in
   // two-phase I/O); clocks advance past the exchange.

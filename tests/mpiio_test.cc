@@ -74,47 +74,51 @@ TEST_P(MpiioTest, BlockColumnWriteReadRoundTrip) {
 }
 
 TEST_P(MpiioTest, NoncontiguousMemoryAndFile) {
-  // BTIO-like: noncontiguous in memory AND in the file.
-  const u64 rows = 24;
-  Result<File> file = File::create(comm_, "/nc");
-  ASSERT_TRUE(file.is_ok());
-  File f = file.value();
-
+  // BTIO-like: noncontiguous in memory AND in the file. At 2048 rows each
+  // (rank, aggregator) pair of a collective, and each rank's sieve copy,
+  // carries at least ByteMover::kParallelMinBytes, so those copies run as
+  // parallel batches when the process has spare CPUs.
   Hints hints;
   hints.method = GetParam();
+  for (const u64 rows : {24, 2048}) {
+    SCOPED_TRACE(std::to_string(rows) + " rows");
+    Result<File> file = File::create(comm_, "/nc" + std::to_string(rows));
+    ASSERT_TRUE(file.is_ok());
+    File f = file.value();
 
-  // Memory: every other 256-byte row of a local array.
-  const Datatype memtype =
-      Datatype::vector(rows, 1, 2, Datatype::contiguous(256));
-  const u64 share = memtype.size();
-  // File: rank p writes 256-byte pieces at stride 4*256.
-  std::vector<RankIo> wr(4), rd(4);
-  std::vector<u64> src(4), dst(4);
-  for (int p = 0; p < 4; ++p) {
-    pvfs::Client& c = comm_.rank(p);
-    src[p] = c.memory().alloc(memtype.extent());
-    dst[p] = c.memory().alloc(memtype.extent());
-    fill(c, src[p], memtype.extent(), 7 + p);
-    const Datatype ft = Datatype::subarray(
-        {rows, 4}, {rows, 1}, {0, static_cast<u64>(p)}, 256);
-    wr[p] = RankIo{FileView(0, ft), src[p], memtype, 0, share};
-    rd[p] = wr[p];
-    rd[p].mem_addr = dst[p];
-  }
-  auto wres = f.write_all(wr, hints);
-  for (int p = 0; p < 4; ++p) {
-    ASSERT_TRUE(wres[p].ok()) << to_string(GetParam()) << " rank " << p;
-  }
-  auto rres = f.read_all(rd, hints);
-  for (int p = 0; p < 4; ++p) {
-    ASSERT_TRUE(rres[p].ok());
-    pvfs::Client& c = comm_.rank(p);
-    // Compare only the mapped bytes of the memtype.
-    for (const Extent& e : memtype.map()) {
-      ASSERT_EQ(std::memcmp(c.memory().data(src[p] + e.offset),
-                            c.memory().data(dst[p] + e.offset), e.length),
-                0)
-          << to_string(GetParam()) << " rank " << p << " at " << e.offset;
+    // Memory: every other 256-byte row of a local array.
+    const Datatype memtype =
+        Datatype::vector(rows, 1, 2, Datatype::contiguous(256));
+    const u64 share = memtype.size();
+    // File: rank p writes 256-byte pieces at stride 4*256.
+    std::vector<RankIo> wr(4), rd(4);
+    std::vector<u64> src(4), dst(4);
+    for (int p = 0; p < 4; ++p) {
+      pvfs::Client& c = comm_.rank(p);
+      src[p] = c.memory().alloc(memtype.extent());
+      dst[p] = c.memory().alloc(memtype.extent());
+      fill(c, src[p], memtype.extent(), 7 + p);
+      const Datatype ft = Datatype::subarray(
+          {rows, 4}, {rows, 1}, {0, static_cast<u64>(p)}, 256);
+      wr[p] = RankIo{FileView(0, ft), src[p], memtype, 0, share};
+      rd[p] = wr[p];
+      rd[p].mem_addr = dst[p];
+    }
+    auto wres = f.write_all(wr, hints);
+    for (int p = 0; p < 4; ++p) {
+      ASSERT_TRUE(wres[p].ok()) << to_string(GetParam()) << " rank " << p;
+    }
+    auto rres = f.read_all(rd, hints);
+    for (int p = 0; p < 4; ++p) {
+      ASSERT_TRUE(rres[p].ok());
+      pvfs::Client& c = comm_.rank(p);
+      // Compare only the mapped bytes of the memtype.
+      for (const Extent& e : memtype.map()) {
+        ASSERT_EQ(std::memcmp(c.memory().data(src[p] + e.offset),
+                              c.memory().data(dst[p] + e.offset), e.length),
+                  0)
+            << to_string(GetParam()) << " rank " << p << " at " << e.offset;
+      }
     }
   }
 }
@@ -272,6 +276,40 @@ TEST(MpiioExtra, CollectiveMovesInterClientTraffic) {
   // (the Table 6 "communication between compute nodes" row).
   EXPECT_GT(cluster.stats().get(stat::kNetBytesInterClient) - before,
             static_cast<i64>(share));
+}
+
+// A collective lands every piece straight between the ranks' memory and
+// the aggregators' assembly buffers, so the only memory it maps on a rank
+// is that rank's assembly: its file domain, page-rounded.
+TEST(MpiioExtra, CollectiveMapsOnlyItsAssembly) {
+  pvfs::Cluster cluster(ModelConfig::paper_defaults(), 4, 4);
+  Communicator comm(cluster);
+  File f = File::create(comm, "/assembly").value();
+  // A 96 x 96 block column: the file spans 36 KiB, so each of the four
+  // domains is 9 KiB, three pages once rounded.
+  const u64 n = 96;
+  const u64 share = n * n / 4 * kElem;
+  std::vector<RankIo> wr(4), rd(4);
+  std::vector<u64> before(4);
+  for (int p = 0; p < 4; ++p) {
+    vmem::AddressSpace& m = comm.rank(p).memory();
+    const Datatype ft = Datatype::subarray(
+        {n, n}, {n, n / 4}, {0, static_cast<u64>(p) * (n / 4)}, kElem);
+    wr[p] = RankIo{FileView(0, ft), m.alloc(share),
+                   Datatype::contiguous(share), 0, share};
+    rd[p] = wr[p];
+    rd[p].mem_addr = m.alloc(share);
+    before[p] = m.bytes_mapped();
+  }
+  Hints hints;
+  hints.method = IoMethod::kCollective;
+  for (const auto& r : f.write_all(wr, hints)) ASSERT_TRUE(r.ok());
+  for (const auto& r : f.read_all(rd, hints)) ASSERT_TRUE(r.ok());
+  for (int p = 0; p < 4; ++p) {
+    EXPECT_EQ(comm.rank(p).memory().bytes_mapped() - before[p],
+              page_ceil(n * n * kElem / 4))
+        << "rank " << p;
+  }
 }
 
 TEST(MpiioExtra, BarrierSynchronizesClocks) {

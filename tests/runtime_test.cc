@@ -1,6 +1,6 @@
-// Mini-MPI runtime tests: point-to-point transfers move real bytes with
-// channel-semantics timing, metadata exchange advances all clocks, and the
-// whole simulation is deterministic run-to-run.
+// Mini-MPI runtime tests: point-to-point messages charge channel-semantics
+// time, metadata exchange advances all clocks, and the whole simulation is
+// deterministic run-to-run.
 #include "mpiio/runtime.h"
 
 #include <gtest/gtest.h>
@@ -10,25 +10,16 @@
 namespace pvfsib::mpiio {
 namespace {
 
-TEST(Runtime, SendMovesBytesBetweenRanks) {
+TEST(Runtime, SendChargesChannelTime) {
   pvfs::Cluster cluster(ModelConfig::paper_defaults(), 4, 2);
   Communicator comm(cluster);
-  pvfs::Client& a = comm.rank(1);
-  pvfs::Client& b = comm.rank(3);
   const u64 n = 64 * kKiB;
-  const u64 src = a.memory().alloc(n);
-  const u64 dst = b.memory().alloc(n);
-  for (u64 i = 0; i < n; ++i) {
-    a.memory().write_pod<u8>(src + i, static_cast<u8>(i * 3));
-  }
-  const TimePoint done =
-      comm.send(1, src, 3, dst, n, TimePoint::origin());
+  const TimePoint done = comm.send(1, 3, n, TimePoint::origin());
   // Channel semantics: latency + bytes at the MVAPICH rate.
   const double expect_us =
       cluster.config().net.send_latency.as_us() +
       transfer_time(n, cluster.config().net.send_bw).as_us();
   EXPECT_NEAR((done - TimePoint::origin()).as_us(), expect_us, 5.0);
-  EXPECT_EQ(std::memcmp(b.memory().data(dst), a.memory().data(src), n), 0);
   EXPECT_EQ(cluster.stats().get(stat::kNetBytesInterClient),
             static_cast<i64>(n));
 }
