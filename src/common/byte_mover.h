@@ -2,14 +2,14 @@
 // threads.
 //
 // The simulator moves the real bytes of every piece a round transfers: a
-// transfer's or a pack window's stream between the user's segments and
-// the iod's staging slot, a read round's file views into the staging slot
-// or the user's buffers, the client cache's copies, MPI-IO's collective
-// and data-sieving pieces (all through core::copy_stream) and the sieved
-// write-back patches. The fabric itself moves none. The layer that runs a round already holds the round's whole
-// piece list, so it hands the list over as one batch, and a large batch is
-// copied by the calling thread and up to kMaxWorkers process-wide workers
-// together.
+// write push's stream from the user's segments into the iod's staging
+// slot, a read round's file views into the user's buffers, the client
+// cache's copies, MPI-IO's collective and data-sieving pieces (all through
+// core::copy_stream) and the sieved write-back patches. The fabric, the
+// transfer layer and the iod move none. The layer that lands a round
+// already holds the round's whole piece list, so it hands the list over as
+// one batch, and a large batch is copied by the calling thread and up to
+// kMaxWorkers process-wide workers together.
 //
 // A batch is parallel when it holds at least kParallelMinBytes and no
 // destination overlaps another destination or any source. It is cut into

@@ -156,7 +156,6 @@ TransferOutcome NoncontigTransfer::multiple_message(
           : fabric_.rdma_read_per_buffer(*client.hca, reg.sges, *server.hca,
                                          server.addr, server.rkey, posted);
   client.registrar->release(reg);
-  if (tr.ok()) land(dir, client, segments, server, {server.addr, tr.bytes});
   out.status = tr.status;
   out.bytes = tr.bytes;
   out.complete = tr.complete;
@@ -189,16 +188,10 @@ TransferOutcome NoncontigTransfer::pack_unpack(
 
   // Stream the segments through the bounce buffer window by window. The
   // single bounce buffer serializes pack and wire phases (no pipelining).
-  // Each window lands once its transfer has succeeded.
-  MemCursor cursor(segments);
-  u64 stream_off = 0;
   const u64 total = stream_bytes(segments);
-  while (stream_off < total) {
+  for (u64 stream_off = 0; stream_off < total;) {
     const u64 window = std::min(client.bounce_size, total - stream_off);
-    window_.clear();
-    cursor.take(window, window_);
     const ib::Sge sge{client.bounce_addr, window, bounce_key};
-    const MemSegment staged{server.addr + stream_off, window};
     // The pack into the bounce buffer is charged before its write, the
     // unpack out of it after its fetch.
     const Duration copy = mem_.copy_cost(window);
@@ -209,16 +202,17 @@ TransferOutcome NoncontigTransfer::pack_unpack(
     ib::TransferResult tr =
         dir == Dir::kPush
             ? fabric_.rdma_write_gather(*client.hca, {&sge, 1}, *server.hca,
-                                        staged.addr, server.rkey, now)
+                                        server.addr + stream_off, server.rkey,
+                                        now)
             : fabric_.rdma_read_scatter(*client.hca, {&sge, 1}, *server.hca,
-                                        staged.addr, server.rkey, now);
+                                        server.addr + stream_off, server.rkey,
+                                        now);
     if (!tr.ok()) {
       out.status = tr.status;
       out.complete = max(tr.complete, now);
       return out;
     }
     now = tr.complete;
-    land(dir, client, window_, server, staged);
     if (dir == Dir::kPull) {
       out.copy_cost += copy;
       now += copy;
@@ -267,25 +261,10 @@ TransferOutcome NoncontigTransfer::gather_scatter(
     out.complete = max(tr.complete, now);
     return out;
   }
-  land(dir, client, segments, server, {server.addr, tr.bytes});
   out.status = Status::ok();
   out.bytes = tr.bytes;
   out.complete = tr.complete;
   return out;
-}
-
-void NoncontigTransfer::land(Dir dir, const TransferEndpoint& client,
-                             std::span<const MemSegment> segments,
-                             const StagingBuffer& server,
-                             const MemSegment& staged) {
-  vmem::AddressSpace& client_as = client.hca->address_space();
-  vmem::AddressSpace& server_as = server.hca->address_space();
-  const std::span<const MemSegment> buffer(&staged, 1);
-  if (dir == Dir::kPush) {
-    copy_segments(client_as, segments, server_as, buffer, pieces_, batch_);
-  } else {
-    copy_segments(server_as, buffer, client_as, segments, pieces_, batch_);
-  }
 }
 
 }  // namespace pvfsib::core

@@ -12,16 +12,16 @@
 //   Hybrid              Pack/Unpack when the stream fits the bounce buffer
 //                       (64 kB, the PVFS stripe size), Gather/Scatter above
 //
-// push() moves client memory -> server buffer (file writes); pull() moves
+// push() books client memory -> server buffer (file writes); pull() books
 // server buffer -> client memory (file reads). Pack/unpack chunks the
 // stream through the bounce buffer; a stream larger than the server
 // staging buffer is refused (the PVFS layer splits it into rounds).
 //
-// The fabric only books each scheme's work requests. Once a transfer, or a
-// pack window, has succeeded, its bytes land once, straight between the
-// user's segments and the server buffer, through copy_stream. Pack/unpack
-// charges its copies into and out of the bounce buffer but never makes
-// them.
+// Like the fabric, this layer only books: push and pull run each scheme's
+// registrations, copy charges and work requests and move no bytes.
+// Pack/unpack charges its copies into and out of the bounce buffer but
+// never makes them. Once a transfer has succeeded, its caller lands the
+// stream once, through copy_stream or copy_segments, the landing rule.
 #pragma once
 
 #include <span>
@@ -146,19 +146,8 @@ class NoncontigTransfer {
                                  StagingBuffer& server, TimePoint ready,
                                  const TransferPolicy& policy);
 
-  // Copy the stream from the client's `segments` to `staged` in the server
-  // buffer (push), or back (pull), as one ByteMover batch. Called once the
-  // transfer that carries the bytes has succeeded.
-  void land(Dir dir, const TransferEndpoint& client,
-            std::span<const MemSegment> segments, const StagingBuffer& server,
-            const MemSegment& staged);
-
   ib::Fabric& fabric_;
   MemParams mem_;
-  // pack_unpack's window and land()'s scratch, reused across transfers.
-  MemSegmentList window_;
-  std::vector<StreamPiece> pieces_;
-  std::vector<CopyOp> batch_;
 };
 
 }  // namespace pvfsib::core

@@ -5,7 +5,8 @@
 // endpoint NICs are occupied for the wire time, which is how link-level
 // contention under fan-in/fan-out arises. The fabric books a transfer and
 // moves none of its payload: the caller lands the bytes, once, after the
-// transfer succeeded (core::NoncontigTransfer, and the iod's read returns).
+// transfer succeeded (pvfs::Client for every PVFS round, MPI-IO for its
+// exchange), through core::copy_stream.
 //
 // Timing model for a (possibly chunked) gather/scatter RDMA of B bytes with
 // S SGEs split into W = ceil(S / max_sge) work requests:

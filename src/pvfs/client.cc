@@ -1230,6 +1230,11 @@ void Client::run_write_replica(std::shared_ptr<OpState> op, Round& r,
       return;
     }
     charge_transfer(op->phases, push, push_start);
+    // The push carried the round's stream: land it in the staging slot,
+    // where the disk phase reads it and a staged replay finds it.
+    const core::MemSegment slot{iod.staging(id_, req.rr.slot).addr, r.bytes};
+    core::copy_segments(as_, r.mem, iod.hca().address_space(), {&slot, 1},
+                        copy_pieces_, copy_batch_);
   }
 
   // Server disk phase begins when the data has landed.
@@ -1345,6 +1350,11 @@ void Client::run_read_round(std::shared_ptr<OpState> op, Round& r,
       if (release_key != 0) cache_.release(release_key);
       return;
     }
+    // Every return path lands here, in the event the iod served the round:
+    // the stream's file views go straight into the user's buffers, and no
+    // file changed since read_round returned. The bounce buffer, the
+    // staging slot and the fabric hold or move none of them.
+    core::copy_stream(svc.stream, as_, r.mem, copy_batch_);
     op->phases.disk += svc.disk_cost;
     // The lost-write gate sees the staleness map as it stands at service.
     const u64 lost_acked = acked_beyond_header(*op, r, rep, svc.version);
@@ -1356,11 +1366,7 @@ void Client::run_read_round(std::shared_ptr<OpState> op, Round& r,
     };
     switch (path) {
       case ReadReturn::kFastBounce: {
-        // Unpack the bounce buffer into the user's list buffers. The fabric
-        // moved no bytes of the bounce write, so the unpack copies the
-        // stream's file views straight to the list buffers, in stream
-        // order; no file changed since read_round returned.
-        core::copy_stream(svc.stream, as_, r.mem, copy_batch_);
+        // The unpack out of the bounce buffer into the list buffers.
         const Duration unpack = cfg_.mem.copy_cost(r.bytes);
         op->phases.wire += (svc.ready - t_svc) - svc.disk_cost + unpack;
         engine_.schedule_at(svc.ready + unpack, finish);

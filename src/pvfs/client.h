@@ -27,8 +27,8 @@
 // window (ModelConfig::pipeline_depth). At the default depth 1 the next
 // request leaves when the previous reply arrives (classic PVFS). At depth
 // W > 1 the client issues round k+1 as soon as round k's data phase clears
-// the wire, keeping up to W rounds in flight per iod; the iod lands each
-// in-flight round in its own staging buffer and the per-iod disk queue
+// the wire, keeping up to W rounds in flight per iod; each in-flight round
+// owns its own staging buffer at the iod, and the per-iod disk queue
 // serializes the disk phases in data-arrival order, which preserves write
 // ordering per handle. Different servers always run concurrently — that is
 // where PVFS's striping parallelism comes from; the window adds wire/disk
@@ -498,7 +498,9 @@ class Client {
   std::map<Handle, FileMeta> wb_files_;
   std::map<Handle, bool> wb_timer_armed_;
   core::TransferEndpoint ep_;  // bounce buffer endpoint
-  std::vector<CopyOp> copy_batch_;  // copy_stream's batch, reused
+  // copy_segments' pieces and copy_stream's batch, reused.
+  std::vector<core::StreamPiece> copy_pieces_;
+  std::vector<CopyOp> copy_batch_;
   TimePoint now_ = TimePoint::origin();
 };
 

@@ -492,73 +492,53 @@ Iod::ReadService Iod::read_round(const RoundRequest& r, TimePoint start,
       : path == ReadReturn::kDirectGather ? "direct-gather"
                                            : "client-pull");
 
-  // The round's stream is views of the file's bytes, which no call below
-  // changes. Each return path copies them once, to where the next reader
-  // looks: the staging slot for a client pull, the client's buffer after a
-  // direct gather, and the client's list buffers (in Client, once the
-  // reply arrives) after a fast bounce. The fabric moves no bytes of the
-  // bounce write or the gathers itself.
+  // The round's stream is views of the file's bytes, in stream order, which
+  // no call below changes. Every return path hands them back in
+  // ReadService::stream and copies none: the client lands them in its
+  // user buffers in the event this call returns to. The fabric moves no
+  // bytes of the bounce write or the gathers either.
   stream_.clear();
+  TimePoint disk_done = start;
+  // A sieved direct gather's gathers: when the last one completed.
+  TimePoint net_done = start;
   if (!sieve) {
     // Access by access, one view per access.
-    Duration cost = Duration::zero();
     for (const Extent& a : r.accesses) {
       const Timed<std::span<const std::byte>> v =
           f.read_view(a.offset, a.length, {});
-      cost += v.cost;
+      svc.disk_cost += v.cost;
       stream_.push_back({v.value, a.length});
     }
-    cost = disk_scaled(cost, start);
-    svc.disk_cost = cost;
-    const TimePoint data_at = disk_queue_.acquire(start, cost);
-    if (path == ReadReturn::kClientPull) {
-      deliver(stream_, as_, sb.addr, total);
-      svc.ready = data_at;
-    } else {
-      const ib::Sge sge{sb.addr, total, sb.rkey};
-      ib::TransferResult tr = fabric_.rdma_write_gather(
-          hca_, {&sge, 1}, *client_hca, client_dest, client_rkey, data_at);
-      if (!tr.ok()) {
-        svc.status = tr.status;
-        svc.ready = tr.complete;
-        return svc;
+    svc.disk_cost = disk_scaled(svc.disk_cost, start);
+    disk_done = disk_queue_.acquire(start, svc.disk_cost);
+  } else {
+    // Sieved read: window by window, one view per window; each wanted
+    // piece is a view into its window's, and reads as zeros past EOF.
+    placed_.clear();
+    for (const auto& w : decision.windows) {
+      const Timed<std::span<const std::byte>> v =
+          f.read_view(w.span.offset, w.span.length, {});
+      const Duration rd_cost = disk_scaled(v.cost, disk_done);
+      svc.disk_cost += rd_cost;
+      disk_done = disk_queue_.acquire(disk_done, rd_cost);
+      u64 wanted = 0;
+      for (const auto& p : w.pieces) {
+        const u64 lo = std::min(p.window_off, v.value.size());
+        const u64 hi = std::min(p.window_off + p.length, v.value.size());
+        placed_.push_back({p.stream_off, {v.value.subspan(lo, hi - lo),
+                                          p.length}});
+        wanted += p.length;
       }
-      if (path == ReadReturn::kDirectGather) {
-        deliver(stream_, client_hca->address_space(), client_dest, total);
-      } else {
-        svc.stream = stream_;
+      if (path != ReadReturn::kDirectGather) {
+        // The pack of wanted pieces into stream order, charged per window.
+        svc.disk_cost += cfg_.mem.copy_cost(wanted);
+        disk_done = disk_queue_.acquire(disk_done, cfg_.mem.copy_cost(wanted));
+        continue;
       }
-      svc.ready = tr.complete;
-    }
-    svc.status = Status::ok();
-    svc.bytes = total;
-    return svc;
-  }
-
-  // Sieved read: window by window, one view per window; each wanted piece
-  // is a view into its window's, and reads as zeros past EOF.
-  TimePoint net_done = start;
-  TimePoint disk_done = start;
-  placed_.clear();
-  for (const auto& w : decision.windows) {
-    const Timed<std::span<const std::byte>> v =
-        f.read_view(w.span.offset, w.span.length, {});
-    const Duration rd_cost = disk_scaled(v.cost, disk_done);
-    svc.disk_cost += rd_cost;
-    disk_done = disk_queue_.acquire(disk_done, rd_cost);
-    const auto piece = [&](const core::ActiveDataSieving::Piece& p) {
-      const u64 lo = std::min(p.window_off, v.value.size());
-      const u64 hi = std::min(p.window_off + p.length, v.value.size());
-      return core::StreamPiece{v.value.subspan(lo, hi - lo), p.length};
-    };
-
-    if (path == ReadReturn::kDirectGather) {
       // Ship wanted pieces straight out of the sieve buffer, one gather per
       // run of stream-consecutive pieces (the remote side of a gather WR is
       // contiguous). No pack copy — the scatter/gather NIC does the work.
-      // Once a gather succeeds, its run's views land in the client's
-      // buffer; a gather that completes in error fails the round with its
-      // status.
+      // A gather that completes in error fails the round with its status.
       std::vector<ib::Sge> run;
       u64 run_start = 0;
       u64 run_next = 0;
@@ -573,9 +553,6 @@ Iod::ReadService Iod::read_round(const RoundRequest& r, TimePoint start,
           svc.ready = tr.complete;
           return false;
         }
-        deliver(stream_, client_hca->address_space(), client_dest + run_start,
-                run_next - run_start);
-        stream_.clear();
         net_done = max(net_done, tr.complete);
         return true;
       };
@@ -587,59 +564,35 @@ Iod::ReadService Iod::read_round(const RoundRequest& r, TimePoint start,
         }
         run.push_back(ib::Sge{sieve_addr_ + p.window_off, p.length,
                               sieve_key_});
-        stream_.push_back(piece(p));
         run_next += p.length;
       }
       if (!flush_run()) return svc;
-    } else {
-      // The pack of wanted pieces into stream order, charged per window.
-      u64 wanted = 0;
-      for (const auto& p : w.pieces) {
-        placed_.push_back({p.stream_off, piece(p)});
-        wanted += p.length;
-      }
-      svc.disk_cost += cfg_.mem.copy_cost(wanted);
-      disk_done = disk_queue_.acquire(disk_done, cfg_.mem.copy_cost(wanted));
     }
-  }
-
-  if (path != ReadReturn::kDirectGather) {
     // Windows follow file order; the stream follows request order.
     std::sort(placed_.begin(), placed_.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     for (const auto& [off, p] : placed_) stream_.push_back(p);
   }
-  switch (path) {
-    case ReadReturn::kClientPull:
-      deliver(stream_, as_, sb.addr, total);
-      svc.ready = disk_done;
-      break;
-    case ReadReturn::kFastBounce: {
-      const ib::Sge sge{sb.addr, total, sb.rkey};
-      ib::TransferResult tr = fabric_.rdma_write_gather(
-          hca_, {&sge, 1}, *client_hca, client_dest, client_rkey, disk_done);
-      if (!tr.ok()) {
-        svc.status = tr.status;
-        svc.ready = tr.complete;
-        return svc;
-      }
-      svc.stream = stream_;
-      svc.ready = tr.complete;
-      break;
+
+  if (path == ReadReturn::kClientPull) {
+    svc.ready = disk_done;
+  } else if (sieve && path == ReadReturn::kDirectGather) {
+    svc.ready = max(net_done, disk_done);
+  } else {
+    // One write of the whole stream into the client's destination.
+    const ib::Sge sge{sb.addr, total, sb.rkey};
+    const ib::TransferResult tr = fabric_.rdma_write_gather(
+        hca_, {&sge, 1}, *client_hca, client_dest, client_rkey, disk_done);
+    svc.ready = tr.complete;
+    if (!tr.ok()) {
+      svc.status = tr.status;
+      return svc;
     }
-    case ReadReturn::kDirectGather:
-      svc.ready = max(net_done, disk_done);
-      break;
   }
   svc.status = Status::ok();
   svc.bytes = total;
+  svc.stream = stream_;
   return svc;
-}
-
-void Iod::deliver(std::span<const core::StreamPiece> pieces,
-                  vmem::AddressSpace& as, u64 addr, u64 len) {
-  const core::MemSegment dst{addr, len};
-  core::copy_stream(pieces, as, {&dst, 1}, batch_);
 }
 
 // --- Data integrity ---------------------------------------------------------

@@ -7,7 +7,10 @@
 // The iod is passive with respect to the event engine — the client-side
 // state machine invokes write_round()/read_round() at the simulated arrival
 // times and the iod returns completion times, queueing its disk work on the
-// node's disk resource.
+// node's disk resource. Like the transfer layer it books every hop and
+// lands no round's bytes: the client copies a write's stream into the
+// staging slot once its push succeeded, and a read's stream from the file
+// views read_round hands back.
 #pragma once
 
 #include <map>
@@ -52,7 +55,9 @@ class Iod {
   // One staging buffer of `client`'s connection pool. The pool holds
   // `staging_slots()` buffers per client (pipeline_depth * replication
   // factor) so pipelined rounds in flight — and concurrent primary/backup
-  // chains under replication — each own a distinct landing area.
+  // chains under replication — each own a distinct slot. Only write rounds
+  // put bytes in a slot; a read round's slot is registered and named in
+  // its work requests but holds none of its bytes.
   core::StagingBuffer& staging(u32 client, u32 slot);
   // Slot-0 convenience (the only slot when pipelining is off).
   core::StagingBuffer& staging(u32 client) { return staging(client, 0); }
@@ -90,11 +95,11 @@ class Iod {
     // Stripe-header version of the serving local file (0 when unversioned):
     // a trailing version tells the client this replica is stale.
     u64 version = 0;
-    // kFastBounce: the bytes the bounce write carried, as the round's
-    // stream in stream order. The pieces view the file's own bytes; they
-    // are valid until this iod's next read_round or the file's next
-    // change, so the client copies them into its list buffers in the
-    // event that read_round returns to.
+    // The round's stream in stream order, whatever the return path: views
+    // of the file's own bytes, each piece's tail past EOF reading as zeros.
+    // They are valid until this iod's next read_round or the file's next
+    // change, so the client copies them into its user buffers in the event
+    // that read_round returns to. Empty when the round failed.
     std::span<const core::StreamPiece> stream;
 
     bool ok() const { return status.is_ok(); }
@@ -102,9 +107,9 @@ class Iod {
   // Service a read round starting (at the earliest) at `start`. For
   // kFastBounce/kDirectGather the iod pushes data to the client itself;
   // `client_hca`/`client_dest`/`client_rkey` describe the destination (the
-  // bounce buffer or the contiguous user buffer). The bytes of a client
-  // pull land in the staging slot, and those of a direct gather in the
-  // user buffer; a fast bounce moves none (see ReadService::stream).
+  // bounce buffer or the contiguous user buffer). Books the disk phase and
+  // the return path's work requests and copies no byte: every path hands
+  // the round's bytes back in ReadService::stream.
   ReadService read_round(const RoundRequest& r, TimePoint start,
                          ReadReturn path, ib::Hca* client_hca,
                          u64 client_dest, u32 client_rkey);
@@ -223,11 +228,6 @@ class Iod {
                              std::span<const std::byte> stream,
                              TimePoint when);
 
-  // Copy a read round's stream to [addr, addr + len) of `as`, in one
-  // ByteMover batch.
-  void deliver(std::span<const core::StreamPiece> pieces,
-               vmem::AddressSpace& as, u64 addr, u64 len);
-
   // `cost` stretched by the fault plane's degraded-disk factor at `at`.
   Duration disk_scaled(Duration cost, TimePoint at) const;
 
@@ -271,12 +271,10 @@ class Iod {
   // in their SGEs, but its bytes are read from the file's own.
   u64 sieve_addr_ = 0;
   u32 sieve_key_ = 0;
-  // read_round's stream pieces (handed back in ReadService::stream), a
-  // sieved round's pieces keyed by stream offset, and its copy batch;
-  // reused across rounds.
+  // read_round's stream pieces (handed back in ReadService::stream) and a
+  // sieved round's pieces keyed by stream offset; reused across rounds.
   std::vector<core::StreamPiece> stream_;
   std::vector<std::pair<u64, core::StreamPiece>> placed_;
-  std::vector<CopyOp> batch_;
   // A sieved write round's windows and patches, reused across rounds.
   std::vector<Extent> rmw_windows_;
   std::vector<disk::LocalFile::Patch> rmw_patches_;

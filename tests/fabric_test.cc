@@ -69,7 +69,7 @@ TEST_F(FabricTest, LargeWriteBandwidthMatchesTable2) {
 
 // The fabric is a timing model only: a gather write and a scatter read book
 // their bytes, NIC time and counters, and leave both ends' buffers as they
-// were. Landing the payload is the caller's job (core::NoncontigTransfer).
+// were. Landing the payload is the caller's job (pvfs::Client, MPI-IO).
 TEST_F(FabricTest, GatherWriteAndScatterReadBookButMoveNothing) {
   auto [la, lk] = make_buffer(client_, client_as_, 2 * kPageSize);
   auto [ra, rk] = make_buffer(server_, server_as_, kPageSize);

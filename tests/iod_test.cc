@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "fault/injector.h"
 
@@ -34,6 +36,17 @@ class IodTest : public ::testing::Test {
       h.address_space().write_pod<u8>(sb.addr + i,
                                       static_cast<u8>(seed + i * 13));
     }
+  }
+
+  // A read round's stream as the client lands it: each piece's bytes,
+  // then zeros to the piece's length.
+  static std::vector<std::byte> stream_of(const Iod::ReadService& svc) {
+    std::vector<std::byte> out;
+    for (const core::StreamPiece& p : svc.stream) {
+      out.insert(out.end(), p.bytes.begin(), p.bytes.end());
+      out.resize(out.size() + (p.length - p.bytes.size()));
+    }
+    return out;
   }
 
   RoundRequest round(ExtentList accesses, bool write, bool use_ads) {
@@ -140,7 +153,7 @@ TEST_F(IodTest, WriteRoundSyncCostsMore) {
   EXPECT_GT(t2 - t0, (t1 - TimePoint::origin()) * 5);
 }
 
-TEST_F(IodTest, ReadRoundClientPullPacksStaging) {
+TEST_F(IodTest, ReadRoundClientPullHandsBackTheStream) {
   disk::LocalFile& f = iod_.file(7);
   std::vector<std::byte> data(32 * kKiB);
   for (u64 i = 0; i < data.size(); ++i) {
@@ -148,19 +161,19 @@ TEST_F(IodTest, ReadRoundClientPullPacksStaging) {
   }
   f.pwrite(0, data);
 
-  // Out-of-order extents: staging must be packed in request order.
+  // Out-of-order extents: the stream follows request order.
   RoundRequest r = round({{8192, 100}, {0, 50}}, /*write=*/false, false);
   Iod::ReadService svc = iod_.read_round(r, TimePoint::origin(),
                                          ReadReturn::kClientPull, nullptr, 0, 0);
   ASSERT_TRUE(svc.ok());
   EXPECT_EQ(svc.bytes, 150u);
-  const core::StagingBuffer& sb = iod_.staging(0);
-  const auto& as = iod_.hca().address_space();
+  const std::vector<std::byte> stream = stream_of(svc);
+  ASSERT_EQ(stream.size(), 150u);
   for (u64 i = 0; i < 100; ++i) {
-    ASSERT_EQ(as.read_pod<u8>(sb.addr + i), static_cast<u8>((8192 + i) * 7));
+    ASSERT_EQ(stream[i], std::byte{static_cast<u8>((8192 + i) * 7)});
   }
   for (u64 i = 0; i < 50; ++i) {
-    ASSERT_EQ(as.read_pod<u8>(sb.addr + 100 + i), static_cast<u8>(i * 7));
+    ASSERT_EQ(stream[100 + i], std::byte{static_cast<u8>(i * 7)});
   }
 }
 
@@ -181,10 +194,12 @@ TEST_F(IodTest, ReadRoundDirectGatherDeliversToClient) {
                       &client_hca_, dest_addr_, dest_key_);
   ASSERT_TRUE(svc.ok());
   EXPECT_GE(stats_.get(stat::kAdsSieved), 1);
+  const std::vector<std::byte> stream = stream_of(svc);
+  ASSERT_EQ(stream.size(), 128u * 512u);
   for (u64 i = 0; i < 128; ++i) {
     for (u64 j = 0; j < 512; j += 64) {
-      ASSERT_EQ(client_as_.read_pod<u8>(dest_addr_ + i * 512 + j),
-                static_cast<u8>((i * 2048 + j) * 11))
+      ASSERT_EQ(stream[i * 512 + j],
+                std::byte{static_cast<u8>((i * 2048 + j) * 11)})
           << i << "," << j;
     }
   }
@@ -233,17 +248,63 @@ TEST_F(IodTest, ReadRoundFastBounceDelivers) {
   EXPECT_EQ(svc.bytes, 3000u);
   // The bounce write carried the round's stream; the iod hands it back as
   // views of the file's bytes, in stream order, for the client to unpack.
-  std::vector<std::byte> stream;
   for (const core::StreamPiece& p : svc.stream) {
     EXPECT_EQ(p.bytes.size(), p.length);  // nothing past EOF
-    stream.insert(stream.end(), p.bytes.begin(), p.bytes.end());
   }
+  const std::vector<std::byte> stream = stream_of(svc);
   ASSERT_EQ(stream.size(), 3000u);
   for (u64 i = 0; i < 1000; ++i) {
     ASSERT_EQ(stream[i], std::byte{static_cast<u8>((9000 + i) ^ 0x5a)});
   }
   for (u64 i = 0; i < 2000; ++i) {
     ASSERT_EQ(stream[1000 + i], std::byte{static_cast<u8>((1000 + i) ^ 0x5a)});
+  }
+}
+
+// No read round writes the staging slot or the client's memory, whatever its
+// return path, sieved or not: its bytes come back only as the stream's views
+// of the file, for the client to land.
+TEST_F(IodTest, ReadRoundsLeaveStagingAndClientBuffersUntouched) {
+  std::vector<std::byte> data(128 * kKiB);
+  for (u64 i = 0; i < data.size(); ++i) {
+    data[i] = std::byte{static_cast<u8>(i * 7 + 3)};
+  }
+  iod_.file(7).pwrite(0, data);
+  ExtentList acc;
+  for (u64 i = 0; i < 64; ++i) acc.push_back({i * 2 * kKiB, 512});
+  const u64 total = 64 * 512;
+  constexpr std::byte kPoison{0xa5};
+  vmem::AddressSpace& iod_as = iod_.hca().address_space();
+  const u64 slot = iod_.staging(0).addr;
+  const auto poisoned = [&](const vmem::AddressSpace& as, u64 addr) {
+    return std::ranges::all_of(as.readable_span(addr, total),
+                               [&](std::byte b) { return b == kPoison; });
+  };
+  for (const bool ads : {false, true}) {
+    for (const ReadReturn path :
+         {ReadReturn::kClientPull, ReadReturn::kFastBounce,
+          ReadReturn::kDirectGather}) {
+      SCOPED_TRACE(std::string(ads ? "ADS, path " : "no ADS, path ") +
+                   std::to_string(static_cast<int>(path)));
+      std::ranges::fill(iod_as.writable_span(slot, total), kPoison);
+      std::ranges::fill(client_as_.writable_span(dest_addr_, total), kPoison);
+      const i64 sieved = stats_.get(stat::kAdsSieved);
+      const Iod::ReadService svc =
+          iod_.read_round(round(acc, false, ads), TimePoint::origin(), path,
+                          &client_hca_, dest_addr_, dest_key_);
+      ASSERT_TRUE(svc.ok()) << svc.status.to_string();
+      EXPECT_EQ(stats_.get(stat::kAdsSieved) - sieved, ads ? 1 : 0);
+      EXPECT_TRUE(poisoned(iod_as, slot));
+      EXPECT_TRUE(poisoned(client_as_, dest_addr_));
+      const std::vector<std::byte> stream = stream_of(svc);
+      ASSERT_EQ(stream.size(), total);
+      for (u64 i = 0; i < 64; ++i) {
+        ASSERT_TRUE(std::equal(stream.begin() + i * 512,
+                               stream.begin() + (i + 1) * 512,
+                               data.begin() + i * 2 * kKiB))
+            << i;
+      }
+    }
   }
 }
 
@@ -254,14 +315,10 @@ TEST_F(IodTest, ReadBeyondEofYieldsZeros) {
   Iod::ReadService svc = iod_.read_round(r, TimePoint::origin(),
                                          ReadReturn::kClientPull, nullptr, 0, 0);
   ASSERT_TRUE(svc.ok());
-  const core::StagingBuffer& sb = iod_.staging(0);
-  const auto& as = iod_.hca().address_space();
-  for (u64 i = 0; i < 50; ++i) {
-    ASSERT_EQ(as.read_pod<u8>(sb.addr + i), 0x11);
-  }
-  for (u64 i = 50; i < 100; ++i) {
-    ASSERT_EQ(as.read_pod<u8>(sb.addr + i), 0x00);
-  }
+  const std::vector<std::byte> stream = stream_of(svc);
+  ASSERT_EQ(stream.size(), 100u);
+  for (u64 i = 0; i < 50; ++i) ASSERT_EQ(stream[i], std::byte{0x11});
+  for (u64 i = 50; i < 100; ++i) ASSERT_EQ(stream[i], std::byte{0x00});
 }
 
 TEST_F(IodTest, OversizedRoundRejected) {
@@ -341,11 +398,11 @@ TEST_F(IodTest, RemovedHandleIsRecreatedByTheNextWrite) {
       iod_.read_round(round({{0, 2148}}, false, false), TimePoint::origin(),
                       ReadReturn::kClientPull, nullptr, 0, 0);
   ASSERT_TRUE(svc.ok());
-  const u64 addr = iod_.staging(0).addr;
-  const auto& as = iod_.hca().address_space();
-  for (u64 i = 0; i < 100; ++i) ASSERT_EQ(as.read_pod<u8>(addr + i), 0);
+  const std::vector<std::byte> stream = stream_of(svc);
+  ASSERT_EQ(stream.size(), 2148u);
+  for (u64 i = 0; i < 100; ++i) ASSERT_EQ(stream[i], std::byte{0});
   for (u64 i = 0; i < 2048; ++i) {
-    ASSERT_EQ(as.read_pod<u8>(addr + 100 + i), static_cast<u8>(2 + i * 13));
+    ASSERT_EQ(stream[100 + i], std::byte{static_cast<u8>(2 + i * 13)});
   }
 }
 

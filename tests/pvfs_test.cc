@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/byte_mover.h"
 #include "common/rng.h"
+#include "sim/trace.h"
 
 namespace pvfsib::pvfs {
 namespace {
@@ -18,6 +21,46 @@ void fill(Client& c, u64 addr, u64 n, u64 seed) {
 
 bool equal_mem(Client& c, u64 a, u64 b, u64 n) {
   return std::memcmp(c.memory().data(a), c.memory().data(b), n) == 0;
+}
+
+// The bytes of client memory over `segs`, end to end.
+std::vector<std::byte> bytes_at(Client& c, const core::MemSegmentList& segs) {
+  std::vector<std::byte> out;
+  for (const core::MemSegment& m : segs) {
+    const auto b = c.memory().readable_span(m.addr, m.length);
+    out.insert(out.end(), b.begin(), b.end());
+  }
+  return out;
+}
+
+// An `n`-byte stream's memory segments: random 1-4096 B lengths with random
+// gaps of up to 15 B between them, in one fresh allocation.
+core::MemSegmentList fragment(Client& c, Rng& rng, u64 n) {
+  core::MemSegmentList segs;
+  u64 end = 0;
+  for (u64 left = n; left > 0;) {
+    const u64 len = std::min<u64>(rng.range(1, 4096), left);
+    segs.push_back({end, len});
+    end += len + rng.range(0, 15);
+    left -= len;
+  }
+  const u64 base = c.memory().alloc(end);
+  for (core::MemSegment& s : segs) s.addr += base;
+  return segs;
+}
+
+// An `n`-byte stream's file pieces, in file order: random 512 B - 8 KiB
+// lengths (the last one cut to fit) with random gaps of up to 4 KiB.
+ExtentList file_pieces(Rng& rng, u64 n) {
+  ExtentList pieces;
+  u64 at = rng.below(4 * kKiB);
+  for (u64 left = n; left > 0;) {
+    const u64 len = std::min<u64>(rng.range(512, 8 * kKiB), left);
+    pieces.push_back({at, len});
+    at += len + rng.below(4 * kKiB);
+    left -= len;
+  }
+  return pieces;
 }
 
 class PvfsTest : public ::testing::Test {
@@ -407,16 +450,81 @@ TEST_F(PvfsTest, AllTransferSchemesRoundTrip) {
   }
 }
 
+// Property: a list write and its read-back carry the stream byte for byte
+// under every transfer scheme, with ADS off and on, however the memory and
+// file sides are fragmented. A 40 KiB stream's rounds fit the Fast-RDMA
+// buffer, so the packing schemes take the eager push and the fast bounce;
+// under gather/scatter each iod's share of one contiguous destination is a
+// single buffer, the direct gather's case. A 768 KiB stream's rounds take
+// the rendezvous push and the client pull.
+TEST_F(PvfsTest, RandomFragmentsRoundTripEverySchemeAndReturnPath) {
+  Client& c = cluster_.client(0);
+  Rng rng(99);
+  sim::Trace& trace = sim::Trace::instance();
+  trace.enable(/*capacity=*/1 << 16);
+  trace.clear();
+  std::map<std::string, u32> paths;  // read return path -> rounds
+  u32 idx = 0;
+  for (core::XferScheme s :
+       {core::XferScheme::kMultipleMessage, core::XferScheme::kPackUnpack,
+        core::XferScheme::kRdmaGatherScatter, core::XferScheme::kHybrid}) {
+    for (const bool ads : {false, true}) {
+      for (const u64 n : {40 * kKiB, 768 * kKiB}) {
+        SCOPED_TRACE(std::string(core::to_string(s)) + (ads ? ", ADS, " : ", ") +
+                     std::to_string(n) + " B");
+        std::vector<std::byte> stream(n);
+        for (std::byte& b : stream) b = static_cast<std::byte>(rng.next());
+        core::ListIoRequest req;
+        req.mem = fragment(c, rng, n);
+        req.file = file_pieces(rng, n);
+        u64 off = 0;
+        for (const core::MemSegment& m : req.mem) {
+          std::copy_n(stream.begin() + off, m.length,
+                      c.memory().writable_span(m.addr, m.length).begin());
+          off += m.length;
+        }
+        OpenFile f = c.create("/frag" + std::to_string(idx++)).value();
+        IoOptions opts;
+        opts.policy.scheme = s;
+        opts.use_ads = ads;
+        ASSERT_TRUE(c.write_list(f, req, opts).ok());
+        // Back into fresh fragments, then into one contiguous buffer.
+        for (const bool contiguous : {false, true}) {
+          req.mem = contiguous
+                        ? core::MemSegmentList{{c.memory().alloc(n), n}}
+                        : fragment(c, rng, n);
+          const IoResult r = c.read_list(f, req, opts);
+          ASSERT_TRUE(r.ok()) << r.status.to_string();
+          EXPECT_TRUE(bytes_at(c, req.mem) == stream)
+              << (contiguous ? "contiguous" : "fragments");
+        }
+        for (const sim::Trace::Entry& e : trace.entries()) {
+          for (const char* path : {"fast-bounce", "direct-gather",
+                                   "client-pull"}) {
+            if (e.what.find(path) != std::string::npos) ++paths[path];
+          }
+        }
+        trace.clear();
+      }
+    }
+  }
+  trace.disable();
+  EXPECT_GT(paths["fast-bounce"], 0u);
+  EXPECT_GT(paths["direct-gather"], 0u);
+  EXPECT_GT(paths["client-pull"], 0u);
+}
+
 TEST_F(PvfsTest, DirectGatherReadIntoContiguousBuffer) {
   Client& c = cluster_.client(0);
-  OpenFile f = c.create("/direct").value();
+  // One iod holds the file, so each round's memory is one slice of the one
+  // destination: the server gather-push return path's case.
+  OpenFile f = c.create("/direct", 64 * kKiB, 1).value();
   const u64 span = 4 * kMiB;
   const u64 big = c.memory().alloc(span);
   fill(c, big, span, 9);
   ASSERT_TRUE(c.write(f, 0, big, span).ok());
 
-  // Strided file accesses into one contiguous destination: eligible for
-  // the server gather-push return path.
+  // Strided file accesses into one contiguous destination.
   core::ListIoRequest req;
   const u64 dst = c.memory().alloc(2 * kMiB);
   u64 off = 0;
@@ -425,8 +533,18 @@ TEST_F(PvfsTest, DirectGatherReadIntoContiguousBuffer) {
     off += 16384;
   }
   req.mem = {{dst, off}};
+  sim::Trace& trace = sim::Trace::instance();
+  trace.enable();
+  trace.clear();
   IoResult r = c.read_list(f, req);
+  const bool direct = std::ranges::any_of(
+      trace.entries(), [](const sim::Trace::Entry& e) {
+        return e.what.find("direct-gather") != std::string::npos;
+      });
+  trace.disable();
+  trace.clear();
   ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(direct);
   u64 pos = 0;
   for (u64 i = 0; i < 128; ++i) {
     ASSERT_TRUE(equal_mem(c, big + i * 32768, dst + pos, 16384)) << i;
